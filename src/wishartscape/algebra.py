@@ -68,12 +68,33 @@ _SYMBOLS = {"R": FIELD_R, "C": FIELD_C, "H": FIELD_H}
 
 
 def field_from_symbol(symbol: str) -> FieldTag:
-    try:
-        return _SYMBOLS[symbol]
-    except KeyError:
+    if not isinstance(symbol, str) or symbol not in _SYMBOLS:
         raise ValidationError(
             f"field symbol must be one of 'R', 'C', 'H', got {symbol!r}"
-        ) from None
+        )
+    return _SYMBOLS[symbol]
+
+
+def _checked(value, ok, message: str):
+    """value when ok(value) holds; message for anything else, non-numbers included."""
+    try:
+        good = not isinstance(value, (str, bool)) and bool(ok(value))
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        raise ValidationError(message)
+    return value
+
+
+def _spectrum(name: str, values, dim: int) -> np.ndarray:
+    """values flattened to dim finite floats, in the order given."""
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size != dim:
+        raise ValidationError(f"{name} must hold {dim} values, got {arr.size}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValidationError(f"{name} entry {bad[0]} is {arr[bad[0]]}, not a finite number")
+    return arr
 
 
 def beta_of(field) -> int:
@@ -104,29 +125,19 @@ class SimpleComponent:
     def __post_init__(self):
         if not isinstance(self.field, FieldTag):
             object.__setattr__(self, "field", FieldTag(beta_of(self.field)))
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        if not np.isfinite(self.index) or self.index < 1:
-            raise ValidationError(f"index must be a finite number >= 1, got {self.index!r}")
-        object.__setattr__(self, "index", float(self.index))
-        obs = np.sort(np.asarray(self.observable_spectrum, dtype=float).ravel())
-        if obs.size != self.dim or not np.all(np.isfinite(obs)):
-            raise ValidationError(
-                f"observable_spectrum must hold {self.dim} finite values, got {obs.size}"
-            )
-        inp = np.sort(np.asarray(self.input_spectrum, dtype=float).ravel())[::-1]
-        if inp.size != self.dim or not np.all(np.isfinite(inp)):
-            raise ValidationError(
-                f"input_spectrum must hold {self.dim} finite values, got {inp.size}"
-            )
+        object.__setattr__(self, "dim", int(_checked(
+            self.dim, lambda v: int(v) == v >= 1,
+            f"dim must be a positive integer, got {self.dim!r}")))
+        object.__setattr__(self, "index", float(_checked(
+            self.index, lambda v: np.isfinite(v) and v >= 1,
+            f"index must be a finite number >= 1, got {self.index!r}")))
+        obs = np.sort(_spectrum("observable_spectrum", self.observable_spectrum, self.dim))
+        inp = np.sort(_spectrum("input_spectrum", self.input_spectrum, self.dim))[::-1]
         if np.any(inp < 0.0) or not np.any(inp > 0.0):
             raise ValidationError("input_spectrum must be nonnegative with positive trace")
-        if int(self.sector_params) != self.sector_params or self.sector_params < 0:
-            raise ValidationError(
-                f"sector_params must be a nonnegative integer, got {self.sector_params!r}"
-            )
-        object.__setattr__(self, "sector_params", int(self.sector_params))
+        object.__setattr__(self, "sector_params", int(_checked(
+            self.sector_params, lambda v: int(v) == v >= 0,
+            f"sector_params must be a nonnegative integer, got {self.sector_params!r}")))
         obs.setflags(write=False)
         inp.setflags(write=False)
         object.__setattr__(self, "observable_spectrum", obs)
@@ -164,22 +175,18 @@ class SectorModel:
         if any(not isinstance(c, SimpleComponent) for c in comps):
             raise ValidationError("components must be SimpleComponent instances")
         object.__setattr__(self, "components", comps)
-        if int(self.total_params) != self.total_params or self.total_params < 1:
-            raise ValidationError(
-                f"total_params must be a positive integer, got {self.total_params!r}"
-            )
-        object.__setattr__(self, "total_params", int(self.total_params))
+        object.__setattr__(self, "total_params", int(_checked(
+            self.total_params, lambda v: int(v) == v >= 1,
+            f"total_params must be a positive integer, got {self.total_params!r}")))
         sector_sum = sum(c.sector_params for c in comps)
         if sector_sum > self.total_params:
             raise ValidationError(
                 f"sector parameter counts sum to {sector_sum}, exceeding "
                 f"total_params {self.total_params}"
             )
-        if not np.isfinite(self.normalization) or self.normalization <= 0:
-            raise ValidationError(
-                f"normalization must be a positive float, got {self.normalization!r}"
-            )
-        object.__setattr__(self, "normalization", float(self.normalization))
+        object.__setattr__(self, "normalization", float(_checked(
+            self.normalization, lambda v: np.isfinite(v) and v > 0,
+            f"normalization must be a positive float, got {self.normalization!r}")))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, field_from_symbol
-from .errors import ModelFormatError, ValidationError
+from .algebra import SectorModel, SimpleComponent, field_from_symbol, spectral_stats
+from .errors import DegenerateObservableError, ModelFormatError, ValidationError
 from .simulator import spectrum_from_pauli
 
 __all__ = ["load_model", "model_from_dict"]
@@ -68,10 +68,11 @@ def _input(spec, dim: int, idx: int, path: str | None) -> np.ndarray:
             raise ModelFormatError(
                 f"unknown keys {sorted(extra)} in pure input",
                 path=path, component=idx, field="input_spectrum")
-        trace = float(spec.get("trace", 1.0))
-        if trace <= 0:
-            raise ModelFormatError("pure input trace must be positive",
-                                   path=path, component=idx, field="input_spectrum")
+        trace = spec.get("trace", 1.0)
+        if type(trace) not in (int, float) or not 0.0 < trace < np.inf:
+            raise ModelFormatError(
+                f"pure input trace must be positive and finite, got {trace!r}",
+                path=path, component=idx, field="input_spectrum")
         out = np.zeros(dim)
         out[0] = trace
         return out
@@ -111,7 +112,7 @@ def model_from_dict(doc: dict, *, path: str | None = None) -> SectorModel:
             raise ModelFormatError(str(exc), path=path, component=idx,
                                    field="field") from exc
         dim = _require(cdoc, "dim", idx, path)
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ModelFormatError(f"dim must be a positive integer, got {dim!r}",
                                    path=path, component=idx, field="dim")
         index = _require(cdoc, "index", idx, path)
@@ -125,6 +126,12 @@ def model_from_dict(doc: dict, *, path: str | None = None) -> SectorModel:
             ))
         except ValidationError as exc:
             raise ModelFormatError(str(exc), path=path, component=idx) from exc
+        # every command needs the observable's dispersion
+        try:
+            spectral_stats(comps[-1])
+        except DegenerateObservableError as exc:
+            raise ModelFormatError(str(exc), path=path, component=idx,
+                                   field="observable_spectrum") from exc
     try:
         return SectorModel(
             components=tuple(comps),

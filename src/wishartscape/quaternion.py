@@ -23,6 +23,7 @@ __all__ = [
     "q_real_trace",
     "q_frobenius2",
     "embed_complex",
+    "unembed_complex",
     "UNIT_I",
     "UNIT_J",
     "UNIT_K",
@@ -172,3 +173,11 @@ def embed_complex(a: np.ndarray) -> np.ndarray:
     out[..., 1::2, 0::2] = -y + 1j * z
     out[..., 1::2, 1::2] = w - 1j * x
     return out
+
+
+def unembed_complex(c: np.ndarray) -> np.ndarray:
+    """Inverse of embed_complex on its image; reads the even rows only."""
+    c = np.asarray(c)
+    left = c[..., 0::2, 0::2]
+    right = c[..., 0::2, 1::2]
+    return np.stack([left.real, left.imag, right.real, right.imag], axis=-1)

@@ -7,6 +7,15 @@ use the (..., n, m, 4) layout from the quaternion module.
 Scaling convention: gauss_matrix entries have each real component distributed
 N(0, 1), so E|entry|^2 = beta.  The Wishart samplers divide by beta so that
 beta * W_ii is chi^2 with beta * dof degrees of freedom and E[W] = dof * I.
+
+Haar draws for every field come from one kernel: the QR factorization of a
+Gaussian matrix with the gauge fixed so that R has a positive real diagonal,
+which makes Q exactly Haar (F. Mezzadri, "How to generate random matrices
+from the classical compact groups", Notices AMS 54, 2007).  Sp(N) draws
+factor the 2N x 2N complex image (quaternion.embed_complex) of a quaternion
+Gaussian.  The gauged QR is unique and keeps that image, so the frame read
+back from the even rows is the quaternion Gram-Schmidt frame of the same
+Gaussian, up to rounding.
 """
 
 from __future__ import annotations
@@ -86,23 +95,20 @@ def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
     _check_beta(beta)
     _check_positive("rows", rows)
     _check_positive("cols", cols)
-    g = rng.generator
-    if beta == 1:
-        return g.standard_normal((rows, cols))
-    if beta == 2:
-        parts = g.standard_normal((rows, cols, 2))
-        return parts[..., 0] + 1j * parts[..., 1]
-    return g.standard_normal((rows, cols, 4))
+    return _gauss_batch(beta, None, rows, cols, rng)
 
 
-def _gauss_batch(beta: int, size: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
+def _gauss_batch(beta: int, size: int | None, rows: int, cols: int,
+                 rng: RngState) -> np.ndarray:
+    """size Gaussian rows x cols matrices; size=None draws one, unbatched."""
     g = rng.generator
+    shape = (rows, cols) if size is None else (size, rows, cols)
     if beta == 1:
-        return g.standard_normal((size, rows, cols))
+        return g.standard_normal(shape)
     if beta == 2:
-        parts = g.standard_normal((size, rows, cols, 2))
+        parts = g.standard_normal(shape + (2,))
         return parts[..., 0] + 1j * parts[..., 1]
-    return g.standard_normal((size, rows, cols, 4))
+    return g.standard_normal(shape + (4,))
 
 
 def _adjoint(beta: int, x: np.ndarray) -> np.ndarray:
@@ -152,25 +158,16 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
     off-diagonal real component is N(0, 1/beta) and the diagonal is
     chi(beta * (dof - i)) / sqrt(beta) for row i (0-indexed).
     """
-    g = rng.generator
     m = min(dim, dof)
     scale = 1.0 / np.sqrt(beta)
-    if beta == 4:
-        L = np.zeros((dim, dof, 4))
-        gauss = g.standard_normal((dim, dof, 4)) * scale
-    elif beta == 2:
-        L = np.zeros((dim, dof), dtype=complex)
-        parts = g.standard_normal((dim, dof, 2)) * scale
-        gauss = parts[..., 0] + 1j * parts[..., 1]
-    else:
-        L = np.zeros((dim, dof))
-        gauss = g.standard_normal((dim, dof)) * scale
+    gauss = _gauss_batch(beta, None, dim, dof, rng) * scale
+    L = np.zeros(gauss.shape, gauss.dtype)
     rows, cols = np.tril_indices(m, k=-1, m=dof)
     L[rows, cols] = gauss[rows, cols]
     if dim > dof:
         L[dof:] = gauss[dof:]
     diag_df = beta * (dof - np.arange(m))
-    diag = np.sqrt(g.chisquare(diag_df)) * scale
+    diag = np.sqrt(rng.generator.chisquare(diag_df)) * scale
     if beta == 4:
         L[np.arange(m), np.arange(m), 0] = diag
     else:
@@ -188,59 +185,41 @@ def wishart_bartlett(beta: int, dim: int, dof: int, rng: RngState) -> WishartSam
     return WishartSample(beta=beta, dim=dim, dof=dof, matrix=w)
 
 
-def _haar_unitary_batch(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray:
-    """Batch of Haar matrices: SO(dim), U(dim) or Sp(dim) depending on beta."""
-    if beta == 4:
-        return _haar_symplectic_batch(dim, size, rng)
-    g = _gauss_batch(beta, size, dim, dim, rng)
+def _qr_frames(g: np.ndarray) -> np.ndarray:
+    """Q factor of a batch of real or complex matrices, gauged so diag(R) > 0.
+
+    The positive-diagonal QR is unique, so Q is a function of g alone and a
+    Gaussian g gives a Haar frame (Mezzadri 2007).
+    """
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    # Fix the QR gauge so the decomposition has positive (real) diagonal in R.
-    if beta == 2:
-        phase = d / np.abs(d)
-    else:
-        phase = np.sign(d)
-    q = q * phase[:, None, :].conj()
-    if beta == 1:
-        # Fold O(dim) onto SO(dim): flip the last column of the det = -1 draws.
-        neg = np.linalg.det(q) < 0
-        q[neg, :, -1] *= -1.0
-    return q
+    return q * (d / np.abs(d))[..., None, :].conj()
 
 
-def _q_columns_mgs(g: np.ndarray) -> np.ndarray:
-    """Orthonormalize quaternion columns in place, two Gram-Schmidt passes."""
-    size, n, k, _ = g.shape
-    cols = np.array(g, copy=True)
-    for j in range(k):
-        v = cols[:, :, j, :]
-        for _pass in range(2):
-            for i in range(j):
-                u = cols[:, :, i, :]
-                # coefficient u^dagger v, then v -= u * coeff (right action)
-                coeff = np.sum(quat.qmul(quat.qconj(u), v), axis=1)
-                v = v - quat.qmul(u, coeff[:, None, :])
-        norm = np.sqrt(np.sum(quat.qabs2(v), axis=1))
-        cols[:, :, j, :] = v / norm[:, None, None]
-    return cols
-
-
-def _haar_symplectic_batch(dim: int, size: int, rng: RngState) -> np.ndarray:
-    g = _gauss_batch(4, size, dim, dim, rng)
-    return _q_columns_mgs(g)
+def _stiefel_batch(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
+    """First k columns of size Haar matrices over the field addressed by beta."""
+    g = _gauss_batch(beta, size, dim, k, rng)
+    if beta != 4:
+        return _qr_frames(g)
+    return quat.unembed_complex(_qr_frames(quat.embed_complex(g)))
 
 
 def haar_group(beta: int, dim: int, rng: RngState, size: int | None = None) -> np.ndarray:
     """Haar-random compact group element: SO(N), U(N) or Sp(N).
 
     With size=None returns a single matrix; otherwise a leading batch axis.
-    beta = 1 draws land in SO(N) (determinant +1); beta = 4 uses the native
-    quaternion layout.
+    Every field takes the positive-diagonal QR of a Gaussian matrix.  beta = 1
+    draws are folded onto SO(N) by flipping the last column when the
+    determinant is -1.  beta = 4 factors the 2N x 2N complex image of a
+    quaternion Gaussian and returns the native quaternion layout.
     """
     _check_beta(beta)
     _check_positive("dim", dim)
     n = 1 if size is None else _check_positive("size", size)
-    batch = _haar_unitary_batch(beta, dim, n, rng)
+    batch = _stiefel_batch(beta, dim, dim, n, rng)
+    if beta == 1:
+        neg = np.linalg.det(batch) < 0
+        batch[neg, :, -1] *= -1.0
     return batch[0] if size is None else batch
 
 
@@ -257,14 +236,7 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
     if n_cols > dim:
         raise ValidationError(f"n_cols {n_cols} exceeds dim {dim}")
     n = 1 if size is None else _check_positive("size", size)
-    g = _gauss_batch(beta, n, dim, n_cols, rng)
-    if beta == 4:
-        out = _q_columns_mgs(g)
-    else:
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        phase = d / np.abs(d) if beta == 2 else np.sign(d)
-        out = q * phase[:, None, :].conj()
+    out = _stiefel_batch(beta, dim, n_cols, n, rng)
     return out[0] if size is None else out
 
 

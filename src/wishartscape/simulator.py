@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import SimpleComponent
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, haar_columns, haar_group
+from .randmat import RngState, gauss_matrix, haar_columns, haar_group
 from . import quaternion as quat
 
 __all__ = [
@@ -320,24 +320,20 @@ _COLLECT = ("loss", "grad", "hessian")
 
 
 def _auto_batch(beta: int, dim: int, requested: int) -> int:
-    entry_bytes = {1: 8, 2: 16, 4: 32}[beta]
+    # Bytes per entry of the largest array a batch holds, the Gaussian the QR
+    # factors: for beta = 4 its 2N x 2N complex image, 4 complex128 per entry.
+    # The QR's copies make a batch peak at about four times the cap.
+    entry_bytes = {1: 8, 2: 16, 4: 64}[beta]
     cap = max(1, int(6.0e7 / (dim * dim * entry_bytes)))
     return max(1, min(requested, cap))
 
 
 def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray:
     """Uniform unit vectors; equal in law to a Haar matrix's first column."""
-    g = rng.generator
-    if beta == 1:
-        v = g.standard_normal((size, dim))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-    if beta == 2:
-        parts = g.standard_normal((size, dim, 2))
-        v = parts[..., 0] + 1j * parts[..., 1]
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-    v = g.standard_normal((size, dim, 4))
-    norm = np.sqrt(np.sum(quat.qabs2(v), axis=1))
-    return v / norm[:, None, None]
+    v = gauss_matrix(beta, size, dim, rng)
+    if beta == 4:
+        return v / np.sqrt(np.sum(quat.qabs2(v), axis=1))[:, None, None]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -468,7 +464,10 @@ def spectrum_from_pauli(terms) -> np.ndarray:
     IXYZ; all strings share one length n <= 12, and the dense 2^n matrix is
     diagonalized directly.
     """
-    terms = list(terms)
+    try:
+        terms = list(terms)
+    except TypeError:
+        raise ValidationError(f"Pauli terms must be a list, got {terms!r}") from None
     if not terms:
         raise ValidationError("no Pauli terms given")
     n_qubits = None
@@ -476,11 +475,11 @@ def spectrum_from_pauli(terms) -> np.ndarray:
     for t_index, term in enumerate(terms):
         try:
             coeff, word = term
+            coeff = float(coeff)
         except (TypeError, ValueError):
             raise ValidationError(
-                f"term {t_index} must be a (coefficient, string) pair, got {term!r}"
+                f"term {t_index} must be a (number, string) pair, got {term!r}"
             ) from None
-        coeff = float(coeff)
         if not isinstance(word, str) or not word:
             raise ValidationError(f"term {t_index}: Pauli word must be a nonempty string")
         if n_qubits is None:

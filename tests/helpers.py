@@ -15,6 +15,7 @@ from wishartscape import (
     SectorModel,
     SimpleComponent,
 )
+from wishartscape.quaternion import qabs2, qconj, qmul
 
 FIELDS = {1: FIELD_R, 2: FIELD_C, 4: FIELD_H}
 
@@ -72,3 +73,25 @@ def single_model(comp: SimpleComponent, total_params=None, normalization=1.0) ->
 
 def rng(seed: int = 0) -> RngState:
     return RngState(seed)
+
+
+def quaternion_gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Orthonormal quaternion frames of a Gaussian batch shaped (size, n, k, 4).
+
+    Modified Gram-Schmidt with two passes per column and coefficients acting
+    from the right (v -= u (u^dagger v)), written with Hamilton products
+    only.  It is the independent route to the Sp(N) frames that randmat
+    computes through the complex embedding.
+    """
+    cols = np.array(g, dtype=float, copy=True)
+    k = cols.shape[2]
+    for j in range(k):
+        v = cols[:, :, j, :]
+        for _pass in range(2):
+            for i in range(j):
+                u = cols[:, :, i, :]
+                coeff = np.sum(qmul(qconj(u), v), axis=1)
+                v = v - qmul(u, coeff[:, None, :])
+        norm = np.sqrt(np.sum(qabs2(v), axis=1))
+        cols[:, :, j, :] = v / norm[:, None, None]
+    return cols

@@ -73,6 +73,32 @@ class TestParsing:
         assert main(["analyze", "--model", str(bad)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    # (top-level overrides, second-component overrides, expected stderr parts)
+    MALFORMED = {
+        "index-string": ({}, {"index": "x"}, ["component 1", "index", "'x'"]),
+        "normalization-string": ({"normalization": "abc"}, {}, ["normalization", "'abc'"]),
+        "field-list": ({}, {"field": ["C"]}, ["component 1", "field 'field'"]),
+        "observable-nan": ({}, {"observable_spectrum": [0.0, 1.0, float("nan"), 3.0]},
+                           ["component 1", "observable_spectrum entry 2 is nan"]),
+        "observable-constant": ({}, {"observable_spectrum": [2.0] * 4},
+                                ["component 1", "field 'observable_spectrum'", "constant"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_model_is_located(self, case, tmp_path, capsys):
+        top, override, expected = self.MALFORMED[case]
+        sector = {"field": "R", "dim": 4, "index": 1, "observable_spectrum": [0, 1, 2, 3],
+                  "input_spectrum": {"pure": True}, "sector_params": 1}
+        doc = {"total_params": 2, "components": [sector, {**sector, **override}], **top}
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {path}: ")
+        for part in expected:
+            assert part in err
+
 
 class TestAnalyze:
     def test_report_contents(self, rank1_model, capsys):

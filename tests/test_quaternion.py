@@ -20,6 +20,7 @@ from wishartscape.quaternion import (
     qdagger,
     qmatmul,
     qmul,
+    unembed_complex,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -145,6 +146,10 @@ class TestEmbeddingOracle:
         h = qmatmul(a, qdagger(a))
         eigs = np.linalg.eigvalsh(embed_complex(h))
         np.testing.assert_allclose(eigs[0::2], eigs[1::2], rtol=1e-9)
+
+    def test_unembed_inverts_embed(self):
+        a = np.random.default_rng(9).standard_normal((3, 5, 2, 4))
+        np.testing.assert_array_equal(unembed_complex(embed_complex(a)), a)
 
     def test_q_from_real(self):
         m = np.arange(6.0).reshape(2, 3)

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from helpers import exact_conjugation_variance, ks_2samp_critical, ks_critical
+from helpers import (
+    exact_conjugation_variance,
+    ks_2samp_critical,
+    ks_critical,
+    quaternion_gram_schmidt,
+)
 from wishartscape import ValidationError
-from wishartscape.quaternion import embed_complex, qdagger, qmatmul
+from wishartscape.quaternion import embed_complex, qdagger, qmatmul, unembed_complex
 from wishartscape.randmat import (
+    _qr_frames,
     BETAS,
     RngState,
     gauss_matrix,
@@ -270,6 +276,35 @@ class TestHaar:
             b = full[:, 0, 0] ** 2
         s = sp_stats.ks_2samp(a, b).statistic
         assert s < ks_2samp_critical(n, n)
+
+
+class TestSymplecticKernel:
+    """Sp(N) frames from the complex-embedding QR against quaternion
+    Gram-Schmidt on the same Gaussian (haar_* draw it as the first
+    standard_normal((size, dim, k, 4)) of the stream)."""
+
+    CASES = [(1, 1, 4), (2, 2, 4), (8, 8, 4), (64, 64, 2), (9, 3, 4)]
+
+    @staticmethod
+    def draw(dim, k, size, seed):
+        if k == dim:
+            return haar_group(4, dim, RngState(seed), size=size)
+        return haar_columns(4, dim, k, RngState(seed), size=size)
+
+    @pytest.mark.parametrize("dim,k,size", CASES)
+    def test_matches_gram_schmidt_oracle(self, dim, k, size):
+        g = RngState(700 + dim).generator.standard_normal((size, dim, k, 4))
+        frames = self.draw(dim, k, size, 700 + dim)
+        assert frames.shape == (size, dim, k, 4)
+        np.testing.assert_allclose(frames, quaternion_gram_schmidt(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,k,size", CASES)
+    def test_embedded_frame_is_structured_isometry(self, dim, k, size):
+        g = RngState(710 + dim).generator.standard_normal((size, dim, k, 4))
+        q = _qr_frames(embed_complex(g))
+        gram = np.conj(np.swapaxes(q, -2, -1)) @ q
+        assert np.max(np.abs(gram - np.eye(2 * k))) < 1e-13
+        assert np.max(np.abs(embed_complex(unembed_complex(q)) - q)) < 1e-13
 
 
 class TestTailEnvelopes:
