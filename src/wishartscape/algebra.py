@@ -14,6 +14,7 @@ the shift is explicitly disabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,12 @@ class SimpleComponent:
     def is_rank_one_input(self) -> bool:
         return int(np.count_nonzero(self.input_spectrum)) == 1
 
+    @cached_property
+    def _shifted_stats(self) -> "SpectralStats":
+        # the spectrum is read-only, so its zero-shifted summary is computed
+        # once; a constant spectrum raises here and is never cached
+        return _summarize(self.observable_spectrum, shift=True)
+
 
 @dataclass(frozen=True)
 class SectorModel:
@@ -213,10 +220,17 @@ def spectral_stats(spectrum, *, shift: bool = True) -> SpectralStats:
     A spectrum that is constant (so the shifted spectrum vanishes) carries no
     usable dispersion and raises DegenerateObservableError.  With shift=False
     the caller asserts the spectrum is already anchored; flat spectra are then
-    legal and give dof_real = dim.
+    legal and give dof_real = dim.  A SimpleComponent keeps its zero-shifted
+    summary after the first call.
     """
     if isinstance(spectrum, SimpleComponent):
+        if shift:
+            return spectrum._shifted_stats
         spectrum = spectrum.observable_spectrum
+    return _summarize(spectrum, shift=shift)
+
+
+def _summarize(spectrum, *, shift: bool) -> SpectralStats:
     eigs = np.asarray(spectrum, dtype=float).ravel()
     if eigs.size == 0 or not np.all(np.isfinite(eigs)):
         raise ValidationError("spectrum must be a nonempty finite array")

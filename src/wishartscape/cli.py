@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .algebra import SectorModel, SimpleComponent, spectral_stats
 from .errors import (
@@ -192,21 +191,22 @@ def _cmd_sample(args) -> int:
     rank1 = all(c.is_rank_one_input() for c in model.components)
     if rank1:
         p = model.total_params
-        grad_rows = []
-        hess_rows = []
-        for i in range(args.samples):
-            grad = sample_gradient_given_loss(model, losses[i], rng)
-            hess = sample_hessian_at_critical(model, losses[i], rng)
-            grad_rows.append([str(i)] + [_fmt(v) for v in grad.entries])
-            sid = str(i)
-            for r in range(p):
-                row_vals = hess.matrix[r]
-                for c in range(p):
-                    hess_rows.append([sid, str(r), str(c), _fmt(row_vals[c])])
-        _write_csv(out / "gradients.csv",
-                   ["sample_id"] + [f"grad_{j}" for j in range(p)], grad_rows)
-        _write_csv(out / "hessians.csv",
-                   ["sample_id", "row", "col", "value"], hess_rows)
+        cells = [(str(r), str(c)) for r in range(p) for c in range(p)]
+        # each sample's rows are written as they are drawn, never held
+        with open(out / "gradients.csv", "w", newline="") as gfh, \
+                open(out / "hessians.csv", "w", newline="") as hfh:
+            grad_csv = csv.writer(gfh, lineterminator="\n")
+            hess_csv = csv.writer(hfh, lineterminator="\n")
+            grad_csv.writerow(["sample_id"] + [f"grad_{j}" for j in range(p)])
+            hess_csv.writerow(["sample_id", "row", "col", "value"])
+            for i in range(args.samples):
+                grad = sample_gradient_given_loss(model, losses[i], rng)
+                hess = sample_hessian_at_critical(model, losses[i], rng)
+                sid = str(i)
+                grad_csv.writerow([sid] + [_fmt(v) for v in grad.entries])
+                hess_csv.writerows(
+                    [sid, r, c, _fmt(v)]
+                    for (r, c), v in zip(cells, hess.matrix.ravel().tolist()))
         written += ["gradients.csv", "hessians.csv"]
     else:
         print("warning: conditional derivative laws need rank-one inputs in "
@@ -240,6 +240,9 @@ def _cmd_simulate(args) -> int:
             f"estimated cost {cost:.3e} operations exceeds budget {args.budget:.3e}; "
             "lower --samples or raise --budget"
         )
+    # scipy.stats is slow to import and only simulate's KS columns need it
+    from scipy import stats as sp_stats
+
     out = _out_dir(args)
     rng = RngState(args.seed)
     gof_rows = []

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .algebra import SectorModel, SimpleComponent, dim_automorphism, purity, spectral_stats
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     UndefinedRegimeError,
     ValidationError,
 )
-from .randmat import mp_log_moment
+from .randmat import _gamma_cdf, _gamma_pdf, mp_log_moment
 
 __all__ = [
     "loss_variance",
@@ -103,11 +102,11 @@ def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float) 
     st = spectral_stats(comp)
     br = comp.beta * st.dof_real
     scale_z = _sector_scale(comp) * 2.0 / br
-    vals = sp_stats.gamma.pdf(grid, a=br / 2.0, scale=scale_z)
+    vals = _gamma_pdf(grid, br / 2.0, scale_z)
     # Integrable edge singularity when beta * r < 2: replace the origin node
     # by the average density of the first half-cell so trapezoid mass is kept.
-    if not np.isfinite(vals[0]) or br < 2.0:
-        vals[0] = sp_stats.gamma.cdf(step / 2.0, a=br / 2.0, scale=scale_z) / (step / 2.0)
+    if br < 2.0:
+        vals[0] = _gamma_cdf(step / 2.0, br / 2.0, scale_z) / (step / 2.0)
     return vals
 
 
@@ -303,6 +302,17 @@ class TrainabilityReport:
     trainable: bool
 
 
+def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, from centred sums."""
+    dx = x - np.mean(x)
+    dy = y - np.mean(y)
+    sxx = float(dx @ dx)
+    sxy = float(dx @ dy)
+    slope = sxy / sxx
+    resid = max(float(dy @ dy) - slope * sxy, 0.0)
+    return slope, math.sqrt(resid / (x.size - 2) / sxx)
+
+
 def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> TrainabilityReport:
     """Fits normalized log-variance against log-log size across model sizes.
 
@@ -325,9 +335,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
         raise ValidationError("variances must be positive to fit a log trend")
     x = np.log(np.log(sizes))
     y = np.log(variances)
-    fit = sp_stats.linregress(x, y)
-    slope = float(fit.slope)
-    stderr = float(fit.stderr) if np.isfinite(fit.stderr) else 0.0
+    slope, stderr = _ols_slope(x, y)
     boundary = -float(polylog_exponent)
     if abs(slope - boundary) <= 2.0 * stderr:
         verdict = "inconclusive"

@@ -7,8 +7,8 @@ Schema (one object):
         field                "R" | "C" | "H"
         dim                  positive integer
         index                number >= 1
-        observable_spectrum  list of dim numbers, or {"pauli": [[coeff, word], ...]}
-        input_spectrum       list of dim nonnegative numbers,
+        observable_spectrum  flat list of dim numbers, or {"pauli": [[coeff, word], ...]}
+        input_spectrum       flat list of dim nonnegative numbers,
                              or {"pure": true, "trace": t} (trace optional, 1.0)
         sector_params        nonnegative integer, optional (default 0)
 """
@@ -50,18 +50,14 @@ def _observable(spec, dim: int, idx: int, path: str | None) -> np.ndarray:
                 f"Pauli spectrum has {eigs.size} eigenvalues but dim is {dim}",
                 path=path, component=idx, field="observable_spectrum")
         return eigs
-    try:
-        return np.asarray(spec, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"not a numeric array: {exc}", path=path,
-                               component=idx, field="observable_spectrum") from exc
+    return _flat_list(spec, idx, path, "observable_spectrum")
 
 
 def _input(spec, dim: int, idx: int, path: str | None) -> np.ndarray:
     if isinstance(spec, dict):
-        if not spec.get("pure", False):
+        if spec.get("pure") is not True:
             raise ModelFormatError(
-                "input object form must set 'pure': true",
+                f"input object form must set 'pure': true, got {spec.get('pure')!r}",
                 path=path, component=idx, field="input_spectrum")
         extra = set(spec.keys()) - {"pure", "trace"}
         if extra:
@@ -76,11 +72,22 @@ def _input(spec, dim: int, idx: int, path: str | None) -> np.ndarray:
         out = np.zeros(dim)
         out[0] = trace
         return out
+    return _flat_list(spec, idx, path, "input_spectrum")
+
+
+def _flat_list(spec, idx: int, path: str | None, key: str) -> np.ndarray:
+    if not isinstance(spec, list):
+        raise ModelFormatError(f"must be a list of numbers, got {spec!r}",
+                               path=path, component=idx, field=key)
     try:
-        return np.asarray(spec, dtype=float)
+        arr = np.asarray(spec, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"not a numeric array: {exc}", path=path,
-                               component=idx, field="input_spectrum") from exc
+                               component=idx, field=key) from exc
+    if arr.ndim != 1:
+        raise ModelFormatError(f"must be a flat list of numbers, got shape {arr.shape}",
+                               path=path, component=idx, field=key)
+    return arr
 
 
 def model_from_dict(doc: dict, *, path: str | None = None) -> SectorModel:

@@ -20,10 +20,10 @@ Gaussian, up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 from . import quaternion as quat
@@ -278,25 +278,34 @@ def marchenko_pastur_pdf(gamma: float, lam) -> np.ndarray:
 def mp_log_moment(gamma: float) -> float:
     """Integral of ln(lambda) against the Marchenko-Pastur law.
 
-    For gamma > 1 the atom at zero makes the integral diverge to -inf.  The
-    bulk part is integrated after the substitution lam = lo + (hi-lo) sin^2(u),
-    which removes the edge square-root singularities.
+    Closed form (residue calculus): -1 + (1 - 1/gamma) ln(1 - gamma) for
+    gamma < 1, and exactly -1 at gamma = 1.  For gamma > 1 the atom at zero
+    makes the integral diverge to -inf.
     """
     gamma = _check_gamma(gamma)
     if gamma > 1.0:
         return -np.inf
-    lo, hi = marchenko_pastur_support(gamma)
-    width = hi - lo
+    if gamma == 1.0:
+        return -1.0
+    return -1.0 + (1.0 - 1.0 / gamma) * math.log1p(-gamma)
 
-    def integrand(u: float) -> float:
-        s2 = np.sin(u) ** 2
-        lam = lo + width * s2
-        # sqrt((hi-lam)(lam-lo)) = width * sin(u) cos(u); dlam = 2 width sin cos du
-        weight = 2.0 * width**2 * s2 * np.cos(u) ** 2 / (2.0 * np.pi * gamma * lam)
-        return np.log(lam) * weight
 
-    value, abserr = integrate.quad(integrand, 0.0, np.pi / 2.0, limit=200,
-                                   epsabs=1e-12, epsrel=1e-12)
-    if abserr > 1e-8:
-        raise ArithmeticError(f"log-moment quadrature failed to converge: abserr={abserr}")
-    return float(value)
+# ---------------------------------------------------------------------------
+# Gamma law with shape a and scale, the loss law of a rank-one input sector.
+
+def _gamma_pdf(x, a: float, scale: float):
+    """Gamma density; at x = 0 it is inf, 1/scale or 0 for a <, =, > 1."""
+    y = np.asarray(x, dtype=float) / scale
+    out = np.where(np.isnan(y), np.nan, 0.0)
+    pos = y > 0.0
+    yp = y[pos]
+    out[pos] = np.exp((a - 1.0) * np.log(yp) - yp - math.lgamma(a)) / scale
+    out[y == 0.0] = np.inf if a < 1.0 else (1.0 / scale if a == 1.0 else 0.0)
+    return out[()]
+
+
+def _gamma_cdf(x, a: float, scale: float):
+    """Gamma distribution function: the regularized lower incomplete gamma."""
+    from scipy.special import gammainc
+
+    return gammainc(a, np.maximum(np.asarray(x, dtype=float) / scale, 0.0))

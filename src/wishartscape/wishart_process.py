@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .algebra import SectorModel, SimpleComponent, spectral_stats
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, wishart_direct
+from .randmat import RngState, _gamma_cdf, _gamma_pdf, wishart_direct
 
 __all__ = [
     "LossDraw",
@@ -124,7 +123,7 @@ def rank1_gamma_params(comp: SimpleComponent, *, shift: bool = True) -> tuple[fl
             "closed-form loss density requires a rank-one input restriction; "
             "use the exact simulator for mixed inputs"
         )
-    stats = spectral_stats(comp.observable_spectrum, shift=shift)
+    stats = spectral_stats(comp, shift=shift)
     k = comp.beta * stats.dof_real / 2.0
     scale = 2.0 * comp.index * stats.mean_eig * comp.input_trace / (comp.beta * stats.dof_real)
     return k, scale
@@ -137,12 +136,12 @@ def loss_pdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarra
     at I * obar * (beta r - 2) / (beta r) * tr(rho) once beta r > 2.
     """
     k, scale = rank1_gamma_params(comp, shift=shift)
-    return sp_stats.gamma.pdf(np.asarray(z, dtype=float), a=k, scale=scale)
+    return _gamma_pdf(z, k, scale)
 
 
 def loss_cdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarray:
     k, scale = rank1_gamma_params(comp, shift=shift)
-    return sp_stats.gamma.cdf(np.asarray(z, dtype=float), a=k, scale=scale)
+    return _gamma_cdf(z, k, scale)
 
 
 def _check_z_values(model: SectorModel, z_values) -> np.ndarray:

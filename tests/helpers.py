@@ -95,3 +95,29 @@ def quaternion_gram_schmidt(g: np.ndarray) -> np.ndarray:
         norm = np.sqrt(np.sum(qabs2(v), axis=1))
         cols[:, :, j, :] = v / norm[:, None, None]
     return cols
+
+
+def mp_log_moment_quadrature(gamma: float) -> float:
+    """Log-moment of the Marchenko-Pastur bulk by adaptive quadrature.
+
+    Integrates ln(lam) against the density after the substitution
+    lam = lo + (hi - lo) sin^2(u), which removes the edge square-root
+    singularities; randmat.mp_log_moment uses the closed form instead.
+    """
+    from scipy.integrate import quad
+
+    lo = (1.0 - np.sqrt(gamma)) ** 2
+    hi = (1.0 + np.sqrt(gamma)) ** 2
+    width = hi - lo
+
+    def integrand(u: float) -> float:
+        s2 = np.sin(u) ** 2
+        lam = lo + width * s2
+        # sqrt((hi-lam)(lam-lo)) = width sin(u) cos(u); dlam = 2 width sin cos du
+        weight = 2.0 * width**2 * s2 * np.cos(u) ** 2 / (2.0 * np.pi * gamma * lam)
+        return np.log(lam) * weight
+
+    value, abserr = quad(integrand, 0.0, np.pi / 2.0, limit=200,
+                         epsabs=1e-12, epsrel=1e-12)
+    assert abserr < 1e-12, abserr
+    return float(value)

@@ -138,6 +138,23 @@ class TestSpectralStats:
         c = component(dim=4, obs=[1, 2, 3, 4])
         assert spectral_stats(c).trace == pytest.approx(6.0)
 
+    def test_component_summary_kept_and_equal_to_array_route(self):
+        c = component(dim=6, obs=[0.3, 0.9, 0.1, 0.5, 0.5, 2.0])
+        first = spectral_stats(c)
+        assert spectral_stats(c) is first
+        assert first == spectral_stats(c.observable_spectrum)
+
+    def test_component_unshifted_summary_not_cached(self):
+        c = component(dim=4, obs=[1, 2, 3, 4])
+        assert spectral_stats(c, shift=False) == spectral_stats([1, 2, 3, 4], shift=False)
+        assert spectral_stats(c).floor == 1.0
+
+    def test_constant_component_raises_every_call(self):
+        c = component(dim=4, obs=[2.5] * 4)
+        for _ in range(3):
+            with pytest.raises(DegenerateObservableError):
+                spectral_stats(c)
+
     def test_shift_disabled_keeps_anchor(self):
         st_ = spectral_stats([1.0, 2.0], shift=False)
         assert st_.floor == 0.0

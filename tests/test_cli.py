@@ -2,13 +2,26 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wishartscape import load_model, loss_variance
+from wishartscape import (
+    RngState,
+    load_model,
+    loss_variance,
+    sample_gradient_given_loss,
+    sample_hessian_at_critical,
+    sample_loss_batch,
+)
 from wishartscape.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -82,6 +95,13 @@ class TestParsing:
                            ["component 1", "observable_spectrum entry 2 is nan"]),
         "observable-constant": ({}, {"observable_spectrum": [2.0] * 4},
                                 ["component 1", "field 'observable_spectrum'", "constant"]),
+        "input-pure-string": ({}, {"input_spectrum": {"pure": "yes"}},
+                              ["component 1", "field 'input_spectrum'", "'pure': true",
+                               "'yes'"]),
+        "observable-nested": ({}, {"observable_spectrum": [[0, 1], [2, 3]]},
+                              ["component 1", "field 'observable_spectrum'", "flat list"]),
+        "input-nested": ({}, {"input_spectrum": [[1, 0], [0, 0]]},
+                         ["component 1", "field 'input_spectrum'", "flat list"]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -187,6 +207,28 @@ class TestSample:
               "--samples", "15", "--seed", "2"])
         assert (out_a / "losses.csv").read_bytes() != (out_b / "losses.csv").read_bytes()
 
+    def test_streamed_rows_match_draw_order(self, tmp_path):
+        # reference: draw every sample first, then format the rows with the
+        # nested loop; the command writes each sample's rows as it draws them
+        m = write_model(tmp_path / "m.json", dim=6, params=4, total=5)
+        out = tmp_path / "out"
+        assert main(["sample", "--model", str(m), "--out", str(out),
+                     "--samples", "7", "--seed", "11"]) == 0
+        model = load_model(m)
+        rng = RngState(11)
+        losses = sample_loss_batch(model, 7, rng)
+        grad_lines = ["sample_id,grad_0,grad_1,grad_2,grad_3,grad_4"]
+        hess_lines = ["sample_id,row,col,value"]
+        for i in range(7):
+            grad = sample_gradient_given_loss(model, losses[i], rng)
+            hess = sample_hessian_at_critical(model, losses[i], rng)
+            grad_lines.append(",".join([str(i)] + [f"{v:.16e}" for v in grad.entries]))
+            for r in range(5):
+                for c in range(5):
+                    hess_lines.append(f"{i},{r},{c},{hess.matrix[r, c]:.16e}")
+        assert (out / "gradients.csv").read_text() == "\n".join(grad_lines) + "\n"
+        assert (out / "hessians.csv").read_text() == "\n".join(hess_lines) + "\n"
+
     def test_nonpositive_samples(self, rank1_model, tmp_path, capsys):
         assert main(["sample", "--model", str(rank1_model), "--out",
                      str(tmp_path), "--samples", "0"]) == 1
@@ -287,3 +329,47 @@ class TestTrainability:
         p = write_model(tmp_path / "m.json")
         assert main(["trainability", "--model", str(p), str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """Only simulate's KS columns need scipy.stats, which takes over a second
+    to import; the package and the other commands import in numpy time."""
+
+    @staticmethod
+    def _scipy_modules(code: str) -> list[str]:
+        probe = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1].split()
+
+    def _command_modules(self, argv: list[str]) -> list[str]:
+        return self._scipy_modules(
+            f"from wishartscape.cli import main\nassert main({argv!r}) == 0")
+
+    def test_import_loads_no_scipy(self):
+        assert self._scipy_modules("import wishartscape") == []
+
+    @pytest.mark.parametrize("command", ["analyze", "minima", "trainability", "sample"])
+    def test_command_loads_no_scipy_stats(self, command, tmp_path):
+        model = str(write_model(tmp_path / "m.json"))
+        argv = {
+            "analyze": ["analyze", "--model", model],
+            "minima": ["minima", "--model", model, "--grid", "256",
+                       "--out", str(tmp_path)],
+            "trainability": ["trainability", "--model"] + [
+                str(write_model(tmp_path / f"m{n}.json", dim=n)) for n in (4, 8, 16)],
+            "sample": ["sample", "--model", model, "--samples", "5",
+                       "--out", str(tmp_path)],
+        }[command]
+        loaded = self._command_modules(argv)
+        assert [m for m in loaded if m.startswith("scipy.stats")] == []
+
+    def test_probe_sees_simulate_load_scipy_stats(self, tmp_path):
+        model = str(write_model(tmp_path / "m.json"))
+        loaded = self._command_modules(["simulate", "--model", model, "--samples", "5",
+                                        "--out", str(tmp_path)])
+        assert "scipy.stats" in loaded

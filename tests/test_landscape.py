@@ -28,6 +28,7 @@ from wishartscape import (
     trainability_verdict,
     welch_satterthwaite,
 )
+from wishartscape.landscape import _ols_slope
 
 # frozen in tests/oracles/mp_log_moment_oracle.py
 MP_LOG_HALF = -0.30685281944005469
@@ -359,6 +360,30 @@ class TestTrainability:
         assert rep.polylog_exponent == 2.0
         assert rep.sizes.tolist() == [4.0, 16.0, 64.0]
         assert rep.slope_stderr >= 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [3, 5, 40])
+    def test_slope_matches_linregress(self, seed, n):
+        g = np.random.default_rng(seed)
+        x = np.log(np.log(np.sort(g.uniform(2.0, 1e4, n))))
+        y = -1.7 * x + g.normal(0.0, 0.3, n)
+        slope, stderr = _ols_slope(x, y)
+        fit = sp_stats.linregress(x, y)
+        assert slope == pytest.approx(fit.slope, rel=1e-12)
+        assert stderr == pytest.approx(fit.stderr, rel=1e-10)
+
+    def test_verdict_slope_matches_linregress(self):
+        models = family([2**k for k in range(2, 7)], scale_obs=True)
+        rep = trainability_verdict(models)
+        fit = sp_stats.linregress(np.log(np.log(rep.sizes)), np.log(rep.variances))
+        assert rep.slope == pytest.approx(fit.slope, rel=1e-12)
+        assert rep.slope_stderr == pytest.approx(fit.stderr, rel=1e-9, abs=1e-15)
+
+    def test_exact_line_has_zero_stderr(self):
+        x = np.array([0.1, 0.4, 0.9, 1.3])
+        slope, stderr = _ols_slope(x, 2.0 - 0.5 * x)
+        assert slope == pytest.approx(-0.5, rel=1e-14)
+        assert stderr == pytest.approx(0.0, abs=1e-7)
 
 
 class TestLowPurity:

@@ -171,6 +171,22 @@ class TestModelFromDict:
         with pytest.raises(ModelFormatError, match="'pure': true"):
             model_from_dict(comp_doc(input_spectrum={"pure": False}))
 
+    @pytest.mark.parametrize("pure", ["yes", 1, "true", [True]])
+    def test_input_pure_must_be_json_true(self, pure):
+        with pytest.raises(ModelFormatError, match="component 0.*'pure': true"):
+            model_from_dict(comp_doc(input_spectrum={"pure": pure}))
+
+    @pytest.mark.parametrize("key", ["observable_spectrum", "input_spectrum"])
+    def test_nested_spectrum_refused(self, key):
+        with pytest.raises(ModelFormatError, match=f"component 0: field '{key}'.*flat list"):
+            model_from_dict(comp_doc(**{key: [[0.0, 1.0], [2.0, 3.0]]}))
+
+    @pytest.mark.parametrize("key", ["observable_spectrum", "input_spectrum"])
+    @pytest.mark.parametrize("bad", [3.0, "0123", None])
+    def test_non_list_spectrum_refused(self, key, bad):
+        with pytest.raises(ModelFormatError, match=f"component 0: field '{key}'.*list of numbers"):
+            model_from_dict(comp_doc(**{key: bad}))
+
     def test_input_object_unknown_key(self):
         bad = {"pure": True, "rank": 1}
         with pytest.raises(ModelFormatError, match="unknown keys.*rank"):

@@ -13,11 +13,14 @@ from helpers import (
     exact_conjugation_variance,
     ks_2samp_critical,
     ks_critical,
+    mp_log_moment_quadrature,
     quaternion_gram_schmidt,
 )
 from wishartscape import ValidationError
 from wishartscape.quaternion import embed_complex, qdagger, qmatmul, unembed_complex
 from wishartscape.randmat import (
+    _gamma_cdf,
+    _gamma_pdf,
     _qr_frames,
     BETAS,
     RngState,
@@ -388,6 +391,11 @@ class TestMarchenkoPastur:
     def test_log_moment_diverges_past_square(self):
         assert mp_log_moment(1.5) == -np.inf
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0])
+    def test_log_moment_closed_form_matches_quadrature(self, gamma):
+        assert mp_log_moment(gamma) == pytest.approx(mp_log_moment_quadrature(gamma),
+                                                     rel=0, abs=1e-12)
+
     def test_empirical_spectrum_matches_pdf(self):
         # L1 distance between the pooled empirical Wishart spectrum and the
         # MP density; a single draw fluctuates at the 0.07-0.13 level no
@@ -406,3 +414,48 @@ class TestMarchenkoPastur:
         pdf = marchenko_pastur_pdf(gamma, centers)
         l1 = np.sum(np.abs(hist - pdf)) * (edges[1] - edges[0])
         assert l1 < 0.05
+
+
+class TestGammaLaw:
+    # the numpy pdf and the gammainc cdf against scipy.stats.gamma
+    SHAPES = [0.5, 1.0, 1.5, 17.3, 200.0]
+    SCALES = [0.01, 1.0, 7.5]
+
+    @staticmethod
+    def _points(a, scale):
+        q = np.linspace(1e-6, 1.0 - 1e-6, 101)
+        return sp_stats.gamma.ppf(q, a, scale=scale)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_pdf_matches_scipy(self, a, scale):
+        x = self._points(a, scale)
+        np.testing.assert_allclose(_gamma_pdf(x, a, scale),
+                                   sp_stats.gamma.pdf(x, a, scale=scale), rtol=1e-12)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cdf_matches_scipy(self, a, scale):
+        x = self._points(a, scale)
+        np.testing.assert_allclose(_gamma_cdf(x, a, scale),
+                                   sp_stats.gamma.cdf(x, a, scale=scale), rtol=1e-12)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_origin_and_negative_axis(self, a, scale):
+        x = np.array([0.0, -1e-300, -scale, -1e6])
+        pdf = _gamma_pdf(x, a, scale)
+        assert pdf[0] == sp_stats.gamma.pdf(0.0, a, scale=scale)
+        assert pdf[0] == (np.inf if a < 1.0 else 1.0 / scale if a == 1.0 else 0.0)
+        np.testing.assert_array_equal(pdf[1:], 0.0)
+        np.testing.assert_array_equal(_gamma_cdf(x, a, scale), 0.0)
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(_gamma_pdf(0.5, 1.5, 1.0)) == 0
+        assert np.ndim(_gamma_cdf(0.5, 1.5, 1.0)) == 0
+        assert _gamma_pdf(0.5, 1.5, 1.0) == pytest.approx(
+            sp_stats.gamma.pdf(0.5, 1.5), rel=1e-12)
+
+    def test_nan_propagates(self):
+        assert np.isnan(_gamma_pdf(np.nan, 1.5, 1.0))
+        assert np.isnan(_gamma_cdf(np.nan, 1.5, 1.0))
