@@ -191,22 +191,23 @@ def _cmd_sample(args) -> int:
     rank1 = all(c.is_rank_one_input() for c in model.components)
     if rank1:
         p = model.total_params
-        cells = [(str(r), str(c)) for r in range(p) for c in range(p)]
+        # one %-format per sample and file, the same text as _fmt per value;
+        # the Hessian template takes (sample_id, value) pairs in row-major order
+        grad_row = "%d" + ",%.16e" * p + "\n"
+        hess_rows = "".join(f"%d,{r},{c},%.16e\n" for r in range(p) for c in range(p))
+        pairs = [0] * (2 * p * p)
         # each sample's rows are written as they are drawn, never held
         with open(out / "gradients.csv", "w", newline="") as gfh, \
                 open(out / "hessians.csv", "w", newline="") as hfh:
-            grad_csv = csv.writer(gfh, lineterminator="\n")
-            hess_csv = csv.writer(hfh, lineterminator="\n")
-            grad_csv.writerow(["sample_id"] + [f"grad_{j}" for j in range(p)])
-            hess_csv.writerow(["sample_id", "row", "col", "value"])
+            gfh.write(",".join(["sample_id"] + [f"grad_{j}" for j in range(p)]) + "\n")
+            hfh.write("sample_id,row,col,value\n")
             for i in range(args.samples):
                 grad = sample_gradient_given_loss(model, losses[i], rng)
                 hess = sample_hessian_at_critical(model, losses[i], rng)
-                sid = str(i)
-                grad_csv.writerow([sid] + [_fmt(v) for v in grad.entries])
-                hess_csv.writerows(
-                    [sid, r, c, _fmt(v)]
-                    for (r, c), v in zip(cells, hess.matrix.ravel().tolist()))
+                gfh.write(grad_row % (i, *grad.entries.tolist()))
+                pairs[0::2] = [i] * (p * p)
+                pairs[1::2] = hess.matrix.ravel().tolist()
+                hfh.write(hess_rows % tuple(pairs))
         written += ["gradients.csv", "hessians.csv"]
     else:
         print("warning: conditional derivative laws need rank-one inputs in "

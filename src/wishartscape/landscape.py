@@ -324,9 +324,11 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
     """
     models = list(models)
     sizes = np.array([max(c.dim for c in m.components) for m in models], dtype=float)
-    if len(set(sizes.tolist())) < 3:
+    distinct = len(set(sizes.tolist()))
+    if distinct < 3:
         raise TrendUnfitError(
-            f"need at least 3 distinct model sizes to fit a trend, got {len(models)}"
+            f"need at least 3 distinct model sizes to fit a trend, got {distinct} "
+            f"distinct among {len(models)} models"
         )
     if np.any(sizes < 2):
         raise ValidationError("model sizes must be at least 2 for a log-log fit")

@@ -50,7 +50,13 @@ def _observable(spec, dim: int, idx: int, path: str | None) -> np.ndarray:
                 f"Pauli spectrum has {eigs.size} eigenvalues but dim is {dim}",
                 path=path, component=idx, field="observable_spectrum")
         return eigs
-    return _flat_list(spec, idx, path, "observable_spectrum")
+    eigs = _flat_list(spec, idx, path, "observable_spectrum")
+    # checked here, before a pure input is sized by dim
+    if eigs.size != dim:
+        raise ModelFormatError(
+            f"observable spectrum has {eigs.size} values but dim is {dim}",
+            path=path, component=idx, field="observable_spectrum")
+    return eigs
 
 
 def _input(spec, dim: int, idx: int, path: str | None) -> np.ndarray:

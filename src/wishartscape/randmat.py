@@ -20,6 +20,7 @@ Gaussian, up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -111,16 +112,31 @@ def _gauss_batch(beta: int, size: int | None, rows: int, cols: int,
     return g.standard_normal(shape + (4,))
 
 
-def _adjoint(beta: int, x: np.ndarray) -> np.ndarray:
-    if beta == 4:
-        return quat.qdagger(x)
-    return np.conj(np.swapaxes(x, -2, -1))
+def _gram(beta: int, x: np.ndarray) -> np.ndarray:
+    """Gram matrix x x^dagger over the field addressed by beta.
 
+    R and C take one matmul.  A quaternion matrix with entries a + b i + c j
+    + d k, stored as (a, b, c, d) in its trailing axis, is read through a
+    zero-copy complex view as x = u + v j with u = a + b i and v = c + d i,
+    and
 
-def _matmul(beta: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if beta == 4:
-        return quat.qmatmul(a, b)
-    return np.matmul(a, b)
+        x x^dagger = (u u^dagger + v v^dagger) + (v u^T - u v^T) j,
+
+    two complex matmuls written into the complex view of the output: the
+    first over the interleaved columns u_1 v_1 u_2 v_2 ..., the second as
+    v u^T minus its transpose.
+    """
+    if beta != 4:
+        return np.matmul(x, np.conj(np.swapaxes(x, -2, -1)))
+    c = np.ascontiguousarray(x, dtype=float).view(np.complex128)
+    *lead, n, m, _ = c.shape
+    pairs = c.reshape(*lead, n, 2 * m)
+    out = np.empty((*lead, n, n, 4))
+    oc = out.view(np.complex128)
+    oc[..., 0] = np.matmul(pairs, np.conj(np.swapaxes(pairs, -2, -1)))
+    vu = np.matmul(c[..., 1], np.swapaxes(c[..., 0], -2, -1))
+    oc[..., 1] = vu - np.swapaxes(vu, -2, -1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,9 +161,25 @@ def wishart_direct(beta: int, dim: int, dof: int, rng: RngState) -> WishartSampl
     _check_beta(beta)
     _check_positive("dim", dim)
     _check_positive("dof", dof)
-    x = gauss_matrix(beta, dim, dof, rng)
-    w = _matmul(beta, x, _adjoint(beta, x)) / beta
-    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=w)
+    x = _gauss_batch(beta, None, dim, dof, rng)
+    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_gram(beta, x) / beta)
+
+
+@functools.lru_cache(maxsize=64)
+def _bartlett_mask(beta: int, dim: int, dof: int) -> np.ndarray:
+    """Read-only 1/sqrt(beta) on the Gaussian entries of the Bartlett factor.
+
+    Those are the entries strictly below the diagonal, which takes in every
+    entry of the rows past dof; the diagonal and above are 0.  Shaped and
+    typed to multiply a _gauss_batch draw of the same field.
+    """
+    mask = np.tri(dim, dof, k=-1) * (1.0 / math.sqrt(beta))
+    if beta == 2:
+        mask = mask.astype(complex)
+    elif beta == 4:
+        mask = mask[..., None]
+    mask.flags.writeable = False
+    return mask
 
 
 def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray:
@@ -156,22 +188,17 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
     The first min(dim, dof) rows are lower triangular with chi-distributed
     diagonal; when dim > dof the remaining rows are fully Gaussian.  Each
     off-diagonal real component is N(0, 1/beta) and the diagonal is
-    chi(beta * (dof - i)) / sqrt(beta) for row i (0-indexed).
+    chi(beta * (dof - i)) / sqrt(beta) for row i (0-indexed).  The full
+    dim x dof Gaussian is drawn first, then the chi-square diagonal.
     """
-    m = min(dim, dof)
-    scale = 1.0 / np.sqrt(beta)
-    gauss = _gauss_batch(beta, None, dim, dof, rng) * scale
-    L = np.zeros(gauss.shape, gauss.dtype)
-    rows, cols = np.tril_indices(m, k=-1, m=dof)
-    L[rows, cols] = gauss[rows, cols]
-    if dim > dof:
-        L[dof:] = gauss[dof:]
-    diag_df = beta * (dof - np.arange(m))
-    diag = np.sqrt(rng.generator.chisquare(diag_df)) * scale
+    idx = np.arange(min(dim, dof))
+    L = _gauss_batch(beta, None, dim, dof, rng)
+    L *= _bartlett_mask(beta, dim, dof)
+    diag = np.sqrt(rng.generator.chisquare(beta * (dof - idx))) * (1.0 / math.sqrt(beta))
     if beta == 4:
-        L[np.arange(m), np.arange(m), 0] = diag
+        L[idx, idx, 0] = diag
     else:
-        L[np.arange(m), np.arange(m)] = diag
+        L[idx, idx] = diag
     return L
 
 
@@ -181,8 +208,7 @@ def wishart_bartlett(beta: int, dim: int, dof: int, rng: RngState) -> WishartSam
     _check_positive("dim", dim)
     _check_positive("dof", dof)
     L = _bartlett_factor(beta, dim, dof, rng)
-    w = _matmul(beta, L, _adjoint(beta, L))
-    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=w)
+    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_gram(beta, L))
 
 
 def _qr_frames(g: np.ndarray) -> np.ndarray:

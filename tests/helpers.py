@@ -15,7 +15,7 @@ from wishartscape import (
     SectorModel,
     SimpleComponent,
 )
-from wishartscape.quaternion import qabs2, qconj, qmul
+from wishartscape.quaternion import qabs2, qconj, qdagger, qmatmul, qmul
 
 FIELDS = {1: FIELD_R, 2: FIELD_C, 4: FIELD_H}
 
@@ -121,3 +121,42 @@ def mp_log_moment_quadrature(gamma: float) -> float:
                          epsabs=1e-12, epsrel=1e-12)
     assert abserr < 1e-12, abserr
     return float(value)
+
+
+def wishart_reference(beta: int, dim: int, dof: int, rng: RngState,
+                      route: str) -> np.ndarray:
+    """Wishart draw by the index-copy route, the oracle for randmat's kernels.
+
+    Consumes the stream exactly as randmat does: the dim x dof Gaussian
+    (real components in the (..., 2) or (..., 4) trailing layout), then for
+    the Bartlett route the chi-square diagonal.  The Bartlett factor is built
+    with zeros, tril_indices and index copies, and the Gram matrix with
+    Hamilton products (qmatmul with qdagger) for beta = 4.
+    """
+    g = rng.generator
+    if beta == 1:
+        x = g.standard_normal((dim, dof))
+    elif beta == 2:
+        parts = g.standard_normal((dim, dof, 2))
+        x = parts[..., 0] + 1j * parts[..., 1]
+    else:
+        x = g.standard_normal((dim, dof, 4))
+    if route == "bartlett":
+        m = min(dim, dof)
+        scale = 1.0 / np.sqrt(beta)
+        gauss = x * scale
+        x = np.zeros(gauss.shape, gauss.dtype)
+        rows, cols = np.tril_indices(m, k=-1, m=dof)
+        x[rows, cols] = gauss[rows, cols]
+        if dim > dof:
+            x[dof:] = gauss[dof:]
+        diag = np.sqrt(g.chisquare(beta * (dof - np.arange(m)))) * scale
+        if beta == 4:
+            x[np.arange(m), np.arange(m), 0] = diag
+        else:
+            x[np.arange(m), np.arange(m)] = diag
+    if beta == 4:
+        w = qmatmul(x, qdagger(x))
+    else:
+        w = np.matmul(x, np.conj(np.swapaxes(x, -2, -1)))
+    return w if route == "bartlett" else w / beta

@@ -102,6 +102,9 @@ class TestParsing:
                               ["component 1", "field 'observable_spectrum'", "flat list"]),
         "input-nested": ({}, {"input_spectrum": [[1, 0], [0, 0]]},
                          ["component 1", "field 'input_spectrum'", "flat list"]),
+        "observable-short-for-huge-dim": (
+            {}, {"field": "C", "dim": 10**15, "observable_spectrum": [0, 1]},
+            ["component 1", "field 'observable_spectrum'", f"2 values but dim is {10**15}"]),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -329,6 +332,11 @@ class TestTrainability:
         p = write_model(tmp_path / "m.json")
         assert main(["trainability", "--model", str(p), str(p)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_size_is_counted_once(self, tmp_path, capsys):
+        p = str(write_model(tmp_path / "m.json"))
+        assert main(["trainability", "--model", p, p, p]) == 1
+        assert "got 1 distinct among 3 models" in capsys.readouterr().err
 
 
 class TestColdStart:

@@ -15,12 +15,15 @@ from helpers import (
     ks_critical,
     mp_log_moment_quadrature,
     quaternion_gram_schmidt,
+    wishart_reference,
 )
 from wishartscape import ValidationError
 from wishartscape.quaternion import embed_complex, qdagger, qmatmul, unembed_complex
 from wishartscape.randmat import (
+    _bartlett_mask,
     _gamma_cdf,
     _gamma_pdf,
+    _gram,
     _qr_frames,
     BETAS,
     RngState,
@@ -279,6 +282,59 @@ class TestHaar:
             b = full[:, 0, 0] ** 2
         s = sp_stats.ks_2samp(a, b).statistic
         assert s < ks_2samp_critical(n, n)
+
+
+class TestGramKernel:
+    """randmat's Gram kernel and Wishart routes against the oracles in
+    helpers: Hamilton products for the quaternion Gram, and the index-copy
+    Bartlett factor drawn from the same stream."""
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (1, 1), (5, 4, 7)])
+    def test_quaternion_gram_matches_hamilton_and_embedding(self, shape):
+        x = RngState(sum(shape)).generator.standard_normal(shape + (4,))
+        got = _gram(4, x)
+        want = qmatmul(x, qdagger(x))
+        tol = 1e-13 * np.max(np.abs(want))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        e = embed_complex(x)
+        np.testing.assert_allclose(embed_complex(got),
+                                   e @ np.conj(np.swapaxes(e, -2, -1)), rtol=0, atol=tol)
+        # quaternion-Hermitian: W = W^dagger, so a real diagonal
+        np.testing.assert_allclose(got, qdagger(got), rtol=0, atol=tol)
+        diag = np.diagonal(got, axis1=-3, axis2=-2)
+        np.testing.assert_allclose(diag[..., 1:, :], 0.0, rtol=0, atol=tol)
+
+    SIZES = [(4, 7), (7, 4), (1, 1), (5, 5)]
+
+    @pytest.mark.parametrize("route,draw", [("direct", wishart_direct),
+                                            ("bartlett", wishart_bartlett)])
+    @pytest.mark.parametrize("dim,dof", SIZES)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_routes_match_index_copy_oracle(self, beta, dim, dof, route, draw):
+        for seed in range(5):
+            mine, oracle = RngState(seed), RngState(seed)
+            got = draw(beta, dim, dof, mine).matrix
+            want = wishart_reference(beta, dim, dof, oracle, route)
+            if beta == 4:
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-13 * np.max(np.abs(want)))
+            else:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            # both routes leave the stream at the same place
+            assert mine.generator.random() == oracle.generator.random()
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_bartlett_mask_is_read_only(self, beta):
+        mask = _bartlett_mask(beta, 5, 3)
+        assert mask is _bartlett_mask(beta, 5, 3)
+        with pytest.raises(ValueError):
+            mask[1, 0] = 7.0
+        with pytest.raises(ValueError):
+            mask *= 2.0
+        np.testing.assert_array_equal(np.real(mask[..., 0] if beta == 4 else mask),
+                                      np.tri(5, 3, k=-1) / np.sqrt(beta))
 
 
 class TestSymplecticKernel:
