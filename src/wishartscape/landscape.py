@@ -110,6 +110,20 @@ def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float) 
     return vals
 
 
+def _underparameterized_moments(
+    model: SectorModel,
+) -> tuple[list[SimpleComponent], np.ndarray, np.ndarray]:
+    """Underparameterized sectors with the means and variances of their
+    gamma factors in the minima law."""
+    ratios = overparameterization_ratios(model)
+    under = [c for c, g in zip(model.components, ratios) if g < 1.0]
+    means = np.array([_sector_scale(c) for c in under])
+    variances = np.array(
+        [_sector_scale(c) ** 2 * 2.0 / (c.beta * spectral_stats(c).dof_real) for c in under]
+    )
+    return under, means, variances
+
+
 def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensity:
     """Convolution of per-sector gamma factors over underparameterized sectors.
 
@@ -120,19 +134,11 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     """
     if n_grid < 16:
         raise ValidationError(f"n_grid too small: {n_grid!r}")
-    ratios = overparameterization_ratios(model)
-    under = [c for c, g in zip(model.components, ratios) if g < 1.0]
+    under, scales, variances = _underparameterized_moments(model)
     if not under:
         return MinimaDensity(
             z_grid=np.zeros(0), density=np.zeros(0), point_mass=True, mass=0.0
         )
-    scales = np.array([_sector_scale(c) for c in under])
-    variances = np.array(
-        [
-            _sector_scale(c) ** 2 * 2.0 / (c.beta * spectral_stats(c).dof_real)
-            for c in under
-        ]
-    )
     step = float(np.sum(scales)) / n_grid
     extent = float(np.sum(scales)) + 12.0 * math.sqrt(float(np.sum(variances)))
     n_points = int(math.ceil(extent / step)) + 1
@@ -162,20 +168,12 @@ def welch_satterthwaite(model: SectorModel) -> tuple[float, float]:
     Moment matching over the underparameterized sectors; raises
     UndefinedRegimeError when every sector is overparameterized.
     """
-    ratios = overparameterization_ratios(model)
-    under = [c for c, g in zip(model.components, ratios) if g < 1.0]
+    under, means, variances = _underparameterized_moments(model)
     if not under:
         raise UndefinedRegimeError(
             "all sectors are overparameterized; the minima law is a point mass "
             "and has no effective gamma shape"
         )
-    means = np.array([_sector_scale(c) for c in under])
-    variances = np.array(
-        [
-            _sector_scale(c) ** 2 * 2.0 / (c.beta * spectral_stats(c).dof_real)
-            for c in under
-        ]
-    )
     mean = float(np.sum(means))
     var = float(np.sum(variances))
     k_eff = mean * mean / var

@@ -1,8 +1,8 @@
 """Random matrix sampling: Gaussian ensembles, Wishart matrices, Haar groups.
 
 The three division algebras are addressed by beta in {1, 2, 4} (real, complex,
-quaternion).  Real and complex matrices are plain ndarrays; quaternion matrices
-use the (..., n, m, 4) layout from the quaternion module.
+quaternion).  Matrices are stored as the field module stores them: plain real
+and complex ndarrays, and quaternion matrices in the (..., n, m, 4) layout.
 
 Scaling convention: gauss_matrix entries have each real component distributed
 N(0, 1), so E|entry|^2 = beta.  The Wishart samplers divide by beta so that
@@ -12,7 +12,7 @@ Haar draws for every field come from one kernel: the QR factorization of a
 Gaussian matrix with the gauge fixed so that R has a positive real diagonal,
 which makes Q exactly Haar (F. Mezzadri, "How to generate random matrices
 from the classical compact groups", Notices AMS 54, 2007).  Sp(N) draws
-factor the 2N x 2N complex image (quaternion.embed_complex) of a quaternion
+factor the 2N x 2N complex image (field.embed_complex) of a quaternion
 Gaussian.  The gauged QR is unique and keeps that image, so the frame read
 back from the even rows is the quaternion Gram-Schmidt frame of the same
 Gaussian, up to rounding.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ValidationError
-from . import quaternion as quat
+from . import field
 
 __all__ = [
     "RngState",
@@ -112,33 +112,6 @@ def _gauss_batch(beta: int, size: int | None, rows: int, cols: int,
     return g.standard_normal(shape + (4,))
 
 
-def _gram(beta: int, x: np.ndarray) -> np.ndarray:
-    """Gram matrix x x^dagger over the field addressed by beta.
-
-    R and C take one matmul.  A quaternion matrix with entries a + b i + c j
-    + d k, stored as (a, b, c, d) in its trailing axis, is read through a
-    zero-copy complex view as x = u + v j with u = a + b i and v = c + d i,
-    and
-
-        x x^dagger = (u u^dagger + v v^dagger) + (v u^T - u v^T) j,
-
-    two complex matmuls written into the complex view of the output: the
-    first over the interleaved columns u_1 v_1 u_2 v_2 ..., the second as
-    v u^T minus its transpose.
-    """
-    if beta != 4:
-        return np.matmul(x, np.conj(np.swapaxes(x, -2, -1)))
-    c = np.ascontiguousarray(x, dtype=float).view(np.complex128)
-    *lead, n, m, _ = c.shape
-    pairs = c.reshape(*lead, n, 2 * m)
-    out = np.empty((*lead, n, n, 4))
-    oc = out.view(np.complex128)
-    oc[..., 0] = np.matmul(pairs, np.conj(np.swapaxes(pairs, -2, -1)))
-    vu = np.matmul(c[..., 1], np.swapaxes(c[..., 0], -2, -1))
-    oc[..., 1] = vu - np.swapaxes(vu, -2, -1)
-    return out
-
-
 @dataclass(frozen=True)
 class WishartSample:
     """One Wishart draw.  Invariant: beta * matrix_ii ~ chi^2(beta * dof)."""
@@ -162,7 +135,7 @@ def wishart_direct(beta: int, dim: int, dof: int, rng: RngState) -> WishartSampl
     _check_positive("dim", dim)
     _check_positive("dof", dof)
     x = _gauss_batch(beta, None, dim, dof, rng)
-    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_gram(beta, x) / beta)
+    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, x) / beta)
 
 
 @functools.lru_cache(maxsize=64)
@@ -208,7 +181,7 @@ def wishart_bartlett(beta: int, dim: int, dof: int, rng: RngState) -> WishartSam
     _check_positive("dim", dim)
     _check_positive("dof", dof)
     L = _bartlett_factor(beta, dim, dof, rng)
-    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_gram(beta, L))
+    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, L))
 
 
 def _qr_frames(g: np.ndarray) -> np.ndarray:
@@ -225,9 +198,7 @@ def _qr_frames(g: np.ndarray) -> np.ndarray:
 def _stiefel_batch(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
     """First k columns of size Haar matrices over the field addressed by beta."""
     g = _gauss_batch(beta, size, dim, k, rng)
-    if beta != 4:
-        return _qr_frames(g)
-    return quat.unembed_complex(_qr_frames(quat.embed_complex(g)))
+    return field.unembed_complex(beta, _qr_frames(field.embed_complex(beta, g)))
 
 
 def haar_group(beta: int, dim: int, rng: RngState, size: int | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import SimpleComponent
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, gauss_matrix, haar_columns, haar_group
-from . import quaternion as quat
+from . import field
 
 __all__ = [
     "EmpiricalDistribution",
@@ -38,55 +38,14 @@ GRAD_FD_STEP = 1e-5
 HESS_FD_STEP = 1e-3
 
 
-# ---------------------------------------------------------------------------
-# field-generic matrix helpers (real / complex ndarray, quaternion (...,4))
-
-def _is_quat(a: np.ndarray) -> bool:
-    # trailing-axis dispatch: batched real matrices of dimension 4 would be
-    # indistinguishable, so batched arrays take explicit branches instead
-    return a.ndim >= 3 and a.shape[-1] == 4 and not np.iscomplexobj(a)
+def _conjugate(beta: int, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """g a g^dagger."""
+    return field.matmul(beta, field.matmul(beta, g, a), field.adjoint(beta, g))
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _is_quat(a):
-        return quat.qmatmul(a, b)
-    return a @ b
-
-
-def _dag(a: np.ndarray) -> np.ndarray:
-    if _is_quat(a):
-        return quat.qdagger(a)
-    return np.conj(np.swapaxes(a, -2, -1))
-
-
-def _eye_like(beta: int, dim: int) -> np.ndarray:
-    if beta == 1:
-        return np.eye(dim)
-    if beta == 2:
-        return np.eye(dim, dtype=complex)
-    return quat.q_eye(dim)
-
-
-def _scale_columns(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """u @ diag(d) for real diagonal d."""
-    if _is_quat(u):
-        return u * d[..., :, None]
-    return u * d[..., None, :]
-
-
-def _conjugate_diag(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _conjugate_diag(beta: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """u diag(d) u^dagger."""
-    return _mm(_scale_columns(u, d), _dag(u))
-
-
-def _re_trace_prod(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b) for square matrices of one field."""
-    if _is_quat(a):
-        bt = np.swapaxes(b, -3, -2)
-        # Re(q1 q2) = w1 w2 - x1 x2 - y1 y2 - z1 z2
-        signs = np.array([1.0, -1.0, -1.0, -1.0])
-        return float(np.sum(a * bt * signs))
-    return float(np.real(np.sum(a * np.swapaxes(b, -2, -1))))
+    return field.matmul(beta, field.scale_columns(beta, u, d), field.adjoint(beta, u))
 
 
 def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
@@ -110,29 +69,26 @@ def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
         a = np.zeros((dim, dim), dtype=complex)
         a[0, 0] = 1j
         return a
-    a = quat.q_zeros(dim, dim)
+    a = np.zeros((dim, dim, 4))
     a[0, 0, 1 + (which % 3)] = 1.0
     return a
 
 
 def _exp_generator(comp: SimpleComponent, which: int, theta: float) -> np.ndarray:
     """Closed-form exponential of theta times the canonical generator."""
-    beta, dim = comp.beta, comp.dim
+    beta = comp.beta
+    m = field.eye(beta, comp.dim)
     if beta == 1:
-        m = np.eye(dim)
         c, s = np.cos(theta), np.sin(theta)
         m[0, 0] = c
         m[0, 1] = s
         m[1, 0] = -s
         m[1, 1] = c
-        return m
-    if beta == 2:
-        m = np.eye(dim, dtype=complex)
+    elif beta == 2:
         m[0, 0] = np.exp(1j * theta)
-        return m
-    m = quat.q_eye(dim)
-    m[0, 0, 0] = np.cos(theta)
-    m[0, 0, 1 + (which % 3)] = np.sin(theta)
+    else:
+        m[0, 0, 0] = np.cos(theta)
+        m[0, 0, 1 + (which % 3)] = np.sin(theta)
     return m
 
 
@@ -151,8 +107,7 @@ class AnsatzInstance:
         return len(self.generators)
 
     def conjugated_generator(self, i: int) -> np.ndarray:
-        g = self.conjugators[i]
-        return _mm(_mm(g, self.generators[i]), _dag(g))
+        return _conjugate(self.component.beta, self.conjugators[i], self.generators[i])
 
 
 def build_ansatz(comp: SimpleComponent, rng: RngState) -> AnsatzInstance:
@@ -179,8 +134,8 @@ def build_ansatz(comp: SimpleComponent, rng: RngState) -> AnsatzInstance:
 def _frames(inst: AnsatzInstance) -> tuple[np.ndarray, np.ndarray]:
     """rho and O conjugated into the frames the derivative formulas use."""
     comp = inst.component
-    rho_t = _conjugate_diag(inst.observable_frame, comp.input_spectrum)
-    obs_t = _conjugate_diag(inst.state_frame, comp.observable_spectrum)
+    rho_t = _conjugate_diag(comp.beta, inst.observable_frame, comp.input_spectrum)
+    obs_t = _conjugate_diag(comp.beta, inst.state_frame, comp.observable_spectrum)
     return rho_t, obs_t
 
 
@@ -192,24 +147,25 @@ def loss_eval(inst: AnsatzInstance, theta) -> float:
         raise ValidationError(
             f"theta must have length {inst.n_params}, got {theta.size}"
         )
+    beta = comp.beta
     rho_t, obs_t = _frames(inst)
-    v = _eye_like(comp.beta, comp.dim)
+    v = field.eye(beta, comp.dim)
     for i, t in enumerate(theta):
-        g = inst.conjugators[i]
-        layer = _mm(_mm(g, _exp_generator(comp, i, float(t))), _dag(g))
-        v = _mm(v, layer)
-    m = _mm(_mm(_dag(v), obs_t), v)
-    return comp.index * _re_trace_prod(rho_t, m)
+        layer = _conjugate(beta, inst.conjugators[i], _exp_generator(comp, i, float(t)))
+        v = field.matmul(beta, v, layer)
+    m = field.matmul(beta, field.matmul(beta, field.adjoint(beta, v), obs_t), v)
+    return comp.index * field.re_trace_prod(beta, rho_t, m)
 
 
 def grad_eval(inst: AnsatzInstance) -> np.ndarray:
     """Analytic gradient at theta = 0: entries index * Re tr([rho~, O~] A~_i)."""
     comp = inst.component
+    beta = comp.beta
     rho_t, obs_t = _frames(inst)
-    k = _mm(rho_t, obs_t) - _mm(obs_t, rho_t)
+    k = field.matmul(beta, rho_t, obs_t) - field.matmul(beta, obs_t, rho_t)
     out = np.empty(inst.n_params)
     for i in range(inst.n_params):
-        out[i] = comp.index * _re_trace_prod(k, inst.conjugated_generator(i))
+        out[i] = comp.index * field.re_trace_prod(beta, k, inst.conjugated_generator(i))
     return out
 
 
@@ -221,21 +177,26 @@ def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
     - A~_b O~ A~_a)), the nested-commutator form.
     """
     comp = inst.component
+    beta = comp.beta
     p = inst.n_params
     rho_t, obs_t = _frames(inst)
     conj_gens = [inst.conjugated_generator(i) for i in range(p)]
-    left = [_mm(g, obs_t) for g in conj_gens]   # A~_a O~
-    right = [_mm(obs_t, g) for g in conj_gens]  # O~ A~_a
+
+    def mm(x, y):
+        return field.matmul(beta, x, y)
+
+    left = [mm(g, obs_t) for g in conj_gens]   # A~_a O~
+    right = [mm(obs_t, g) for g in conj_gens]  # O~ A~_a
     out = np.empty((p, p))
     for a in range(p):
         for b in range(a, p):
             term = (
-                _mm(conj_gens[b], left[a])
-                + _mm(right[a], conj_gens[b])
-                - _mm(left[a], conj_gens[b])
-                - _mm(conj_gens[b], right[a])
+                mm(conj_gens[b], left[a])
+                + mm(right[a], conj_gens[b])
+                - mm(left[a], conj_gens[b])
+                - mm(conj_gens[b], right[a])
             )
-            val = comp.index * _re_trace_prod(rho_t, term)
+            val = comp.index * field.re_trace_prod(beta, rho_t, term)
             out[a, b] = out[b, a] = val
     return out
 
@@ -332,17 +293,13 @@ def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray
     """Uniform unit vectors; equal in law to a Haar matrix's first column."""
     v = gauss_matrix(beta, size, dim, rng)
     if beta == 4:
-        return v / np.sqrt(np.sum(quat.qabs2(v), axis=1))[:, None, None]
+        return v / np.sqrt(np.sum(field.abs2(4, v), axis=1))[:, None, None]
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """index-free losses sum_mu rho_mu (U^dagger O U)_mumu from one Haar batch."""
-    if beta == 4:
-        absq = quat.qabs2(u)
-    else:
-        absq = np.abs(u) ** 2
-    return np.einsum("bij,i,j->b", absq, obs, rho)
+    return np.einsum("bij,i,j->b", field.abs2(beta, u), obs, rho)
 
 
 def _fast_grad_entries(beta: int, rho_t: np.ndarray, obs: np.ndarray,
@@ -352,10 +309,8 @@ def _fast_grad_entries(beta: int, rho_t: np.ndarray, obs: np.ndarray,
     K = [rho~, diag(o)] has entries rho~_ab (o_b - o_a); each parameter
     contributes through its own uniform frame vector(s).
     """
-    if beta == 4:
-        k = rho_t * (obs[None, None, :, None] - obs[None, :, None, None])
-    else:
-        k = rho_t * (obs[None, None, :] - obs[None, :, None])
+    diff = obs[None, :] - obs[:, None]
+    k = rho_t * (diff[..., None] if beta == 4 else diff)
     cols = []
     for which, v in enumerate(vs):
         if beta == 1:
@@ -370,10 +325,10 @@ def _fast_grad_entries(beta: int, rho_t: np.ndarray, obs: np.ndarray,
             s = np.einsum("bn,bn->b", np.conj(v), kv)
             cols.append(-np.imag(s))
         else:
-            kv = np.sum(quat.qmul(k, v[:, None, :, :]), axis=2)
-            s = np.sum(quat.qmul(quat.qconj(v), kv), axis=1)
+            col = v[:, :, None, :]
+            s = field.matmul(4, field.adjoint(4, col), field.matmul(4, k, col))
             # Re(q_c s) = -s_component for the unit imaginary q_c
-            cols.append(-s[:, 1 + (which % 3)])
+            cols.append(-s[:, 0, 0, 1 + (which % 3)])
     return np.stack(cols, axis=1)
 
 
@@ -434,10 +389,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
             raw = comp.index * _fast_losses(beta, u, obs, rho)
             losses[done:done + b] = raw - floor
         if want_grad:
-            if beta == 4:
-                rho_t = _conjugate_diag(u, rho)
-            else:
-                rho_t = (u * rho[None, None, :]) @ np.conj(np.swapaxes(u, -2, -1))
+            rho_t = _conjugate_diag(beta, u, rho)
             vs = []
             for i in range(p):
                 if beta == 1:

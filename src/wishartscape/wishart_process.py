@@ -77,8 +77,9 @@ def _loss_prefactor(comp: SimpleComponent) -> tuple[float, int]:
     return pref, dof
 
 
-def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
-    """Draw the per-sector losses via the diagonal of the Wishart factor.
+def _loss_diagonals(model: SectorModel, n_samples: int,
+                    rng: RngState) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-sector loss prefactors and (n_samples, dim) Wishart diagonals.
 
     Diagonal entries of a Wishart matrix built from independent Gaussian rows
     are themselves independent chi^2(beta * dof) / beta variables, so only the
@@ -86,19 +87,24 @@ def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
     draws lives in the test suite.
     """
     g = rng.generator
-    z = np.empty(len(model.components))
-    diagonals = []
     prefs = np.empty(len(model.components))
+    diagonals = []
     for a, comp in enumerate(model.components):
-        pref, dof = _loss_prefactor(comp)
-        diag = g.chisquare(comp.beta * dof, size=comp.dim) / comp.beta
-        z[a] = pref * float(np.dot(comp.input_spectrum, diag))
-        diagonals.append(diag)
-        prefs[a] = pref
+        prefs[a], dof = _loss_prefactor(comp)
+        diagonals.append(g.chisquare(comp.beta * dof, size=(n_samples, comp.dim)) / comp.beta)
+    return prefs, diagonals
+
+
+def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
+    """One draw of the per-sector losses that keeps its Wishart diagonals."""
+    prefs, batches = _loss_diagonals(model, 1, rng)
+    diagonals = tuple(d[0] for d in batches)
+    z = np.array([pref * float(np.dot(comp.input_spectrum, diag))
+                  for comp, pref, diag in zip(model.components, prefs, diagonals)])
     return LossDraw(
         per_component=z,
         total=float(np.sum(z)),
-        diagonals=tuple(diagonals),
+        diagonals=diagonals,
         prefactors=prefs,
     )
 
@@ -107,12 +113,10 @@ def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.n
     """(n_samples, n_components) array of per-sector loss draws."""
     if int(n_samples) != n_samples or n_samples < 1:
         raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    g = rng.generator
-    out = np.empty((int(n_samples), len(model.components)))
-    for a, comp in enumerate(model.components):
-        pref, dof = _loss_prefactor(comp)
-        diag = g.chisquare(comp.beta * dof, size=(int(n_samples), comp.dim)) / comp.beta
-        out[:, a] = pref * (diag @ comp.input_spectrum)
+    prefs, diagonals = _loss_diagonals(model, int(n_samples), rng)
+    out = np.empty((int(n_samples), len(prefs)))
+    for a, (comp, diag) in enumerate(zip(model.components, diagonals)):
+        out[:, a] = prefs[a] * (diag @ comp.input_spectrum)
     return out
 
 

@@ -15,7 +15,6 @@ from wishartscape import (
     SectorModel,
     SimpleComponent,
 )
-from wishartscape.quaternion import qabs2, qconj, qdagger, qmatmul, qmul
 
 FIELDS = {1: FIELD_R, 2: FIELD_C, 4: FIELD_H}
 
@@ -73,6 +72,62 @@ def single_model(comp: SimpleComponent, total_params=None, normalization=1.0) ->
 
 def rng(seed: int = 0) -> RngState:
     return RngState(seed)
+
+
+# ---------------------------------------------------------------------------
+# Hamilton products, component by component: the oracle for field's beta = 4
+# arithmetic, which works on the complex pair instead.  Quaternions are
+# (..., 4) float arrays, matrices (..., n, m, 4), components (w, x, y, z).
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product, broadcasting over leading axes."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
+def qconj(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float, copy=True)
+    out[..., 1:] *= -1.0
+    return out
+
+
+def qabs2(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return np.sum(a * a, axis=-1)
+
+
+def qmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of quaternion matrices, 16 real matmuls."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = (a[..., c] for c in range(4))
+    bw, bx, by, bz = (b[..., c] for c in range(4))
+    mm = np.matmul
+    return np.stack(
+        [
+            mm(aw, bw) - mm(ax, bx) - mm(ay, by) - mm(az, bz),
+            mm(aw, bx) + mm(ax, bw) + mm(ay, bz) - mm(az, by),
+            mm(aw, by) - mm(ax, bz) + mm(ay, bw) + mm(az, bx),
+            mm(aw, bz) + mm(ax, by) - mm(ay, bx) + mm(az, bw),
+        ],
+        axis=-1,
+    )
+
+
+def qdagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the trailing matrix axes."""
+    return qconj(np.swapaxes(np.asarray(a, dtype=float), -3, -2))
 
 
 def quaternion_gram_schmidt(g: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wishartscape import (
     RngState,
@@ -381,3 +383,70 @@ class TestColdStart:
         loaded = self._command_modules(["simulate", "--model", model, "--samples", "5",
                                         "--out", str(tmp_path)])
         assert "scipy.stats" in loaded
+
+
+# Model documents for the fuzz test: a valid two-sector document with one
+# value replaced by a value of another type or out of range, one key dropped
+# or one unknown key added.  Dimensions and Pauli words stay small so a
+# document that parses is analyzed in milliseconds.
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.sampled_from([0, 1, 2, 3, 4, -1, 10**15]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.integers(-3, 3), st.text(max_size=2)), max_size=5),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["pure", "trace", "pauli", "x"]),
+                    st.one_of(st.booleans(), st.floats(allow_nan=True),
+                              st.text(max_size=3)), max_size=3),
+    st.fixed_dictionaries({"pauli": st.lists(
+        st.tuples(st.floats(-2, 2), st.text(alphabet="IXYZQ", max_size=3)), max_size=3)}),
+)
+
+
+_numbers = st.one_of(st.integers(-3, 200), st.floats(-5.0, 500.0), st.sampled_from([0.0, 1e-300, 1e300]))
+
+
+@st.composite
+def _model_documents(draw):
+    dims = [4, draw(st.sampled_from([2, 3, 8]))]
+    sectors = [{
+        "field": draw(st.sampled_from(["R", "C", "H"])),
+        "dim": dim,
+        "index": draw(st.sampled_from([1, 2, 2.5])),
+        "observable_spectrum": list(np.linspace(0.0, 1.0, dim)),
+        "input_spectrum": draw(st.sampled_from([{"pure": True}, [1.0 / dim] * dim])),
+        "sector_params": draw(st.integers(0, 40)),
+    } for dim in dims]
+    total = sum(c["sector_params"] for c in sectors) + draw(st.integers(0, 3))
+    doc = {"total_params": max(total, 1), "normalization": 1.0,
+           "components": sectors}
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([doc, sectors[0], sectors[1]]))
+        key = draw(st.sampled_from(sorted(target)))
+        action = draw(st.sampled_from(["number", "number", "junk", "drop", "add"]))
+        if action == "number":
+            target[key] = draw(_numbers)
+        elif action == "junk":
+            target[key] = draw(_junk)
+        elif action == "drop":
+            del target[key]
+        else:
+            target[draw(st.text(min_size=1, max_size=4))] = draw(_junk)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([[], [doc], 3, "x", None]))
+    return doc
+
+
+class TestFuzz:
+    @given(doc=_model_documents())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_analyze_exits_cleanly_on_mutated_documents(self, doc, tmp_path, capsys):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--model", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

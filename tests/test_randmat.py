@@ -14,16 +14,17 @@ from helpers import (
     ks_2samp_critical,
     ks_critical,
     mp_log_moment_quadrature,
+    qdagger,
+    qmatmul,
     quaternion_gram_schmidt,
     wishart_reference,
 )
 from wishartscape import ValidationError
-from wishartscape.quaternion import embed_complex, qdagger, qmatmul, unembed_complex
+from wishartscape import field
 from wishartscape.randmat import (
     _bartlett_mask,
     _gamma_cdf,
     _gamma_pdf,
-    _gram,
     _qr_frames,
     BETAS,
     RngState,
@@ -41,7 +42,7 @@ from wishartscape.randmat import (
 
 def as_complex(beta, m):
     if beta == 4:
-        return embed_complex(m)
+        return field.embed_complex(4, m)
     return np.asarray(m)
 
 
@@ -257,7 +258,7 @@ class TestHaar:
     def test_haar_columns_orthonormal(self, beta):
         cols = haar_columns(beta, 8, 3, RngState(70 + beta))
         if beta == 4:
-            gram = embed_complex(qmatmul(qdagger(cols), cols))
+            gram = field.embed_complex(4, qmatmul(qdagger(cols), cols))
             np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
         else:
             gram = cols.conj().T @ cols
@@ -285,20 +286,20 @@ class TestHaar:
 
 
 class TestGramKernel:
-    """randmat's Gram kernel and Wishart routes against the oracles in
+    """The Gram kernel (field.gram) and Wishart routes against the oracles in
     helpers: Hamilton products for the quaternion Gram, and the index-copy
     Bartlett factor drawn from the same stream."""
 
     @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (1, 1), (5, 4, 7)])
     def test_quaternion_gram_matches_hamilton_and_embedding(self, shape):
         x = RngState(sum(shape)).generator.standard_normal(shape + (4,))
-        got = _gram(4, x)
+        got = field.gram(4, x)
         want = qmatmul(x, qdagger(x))
         tol = 1e-13 * np.max(np.abs(want))
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        e = embed_complex(x)
-        np.testing.assert_allclose(embed_complex(got),
+        e = field.embed_complex(4, x)
+        np.testing.assert_allclose(field.embed_complex(4, got),
                                    e @ np.conj(np.swapaxes(e, -2, -1)), rtol=0, atol=tol)
         # quaternion-Hermitian: W = W^dagger, so a real diagonal
         np.testing.assert_allclose(got, qdagger(got), rtol=0, atol=tol)
@@ -360,10 +361,10 @@ class TestSymplecticKernel:
     @pytest.mark.parametrize("dim,k,size", CASES)
     def test_embedded_frame_is_structured_isometry(self, dim, k, size):
         g = RngState(710 + dim).generator.standard_normal((size, dim, k, 4))
-        q = _qr_frames(embed_complex(g))
+        q = _qr_frames(field.embed_complex(4, g))
         gram = np.conj(np.swapaxes(q, -2, -1)) @ q
         assert np.max(np.abs(gram - np.eye(2 * k))) < 1e-13
-        assert np.max(np.abs(embed_complex(unembed_complex(q)) - q)) < 1e-13
+        assert np.max(np.abs(field.embed_complex(4, field.unembed_complex(4, q)) - q)) < 1e-13
 
 
 class TestTailEnvelopes:
