@@ -1,12 +1,14 @@
 """Matrices over R, C and H, addressed by beta in {1, 2, 4}.
 
-This is the one module that knows how a matrix over each field is stored and
-multiplied; every function takes beta explicitly.  Real and complex matrices
+This is the one module that does arithmetic on the stored layout of each
+field; every function takes beta explicitly.  Real and complex matrices
 are plain float64 and complex128 ndarrays.  A quaternion matrix with entries
 a + b i + c j + d k is a float64 array shaped (..., n, m, 4) holding
 (a, b, c, d) in its trailing axis.  Quaternion arithmetic reads that array
 through a zero-copy complex view as the pair x = u + v j with u = a + b i and
-v = c + d i, so every product is a handful of complex matmuls.
+v = c + d i, so every product is a handful of complex matmuls.  The one
+other reader of the layout is simulator's fixed generators, which write (and
+read back) a quaternion unit i, j or k at entry (0, 0).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "eye",
     "abs2",
     "re_trace_prod",
+    "real_entries",
     "scale_columns",
     "embed_complex",
     "unembed_complex",
@@ -106,11 +109,15 @@ def re_trace_prod(beta: int, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * np.swapaxes(b, -3, -2) * _CONJ))
 
 
+def real_entries(beta: int, r: np.ndarray) -> np.ndarray:
+    """A real array shaped like a matrix (or a batch of them), viewed so that
+    it multiplies or divides a matrix over the field entry by entry."""
+    return r[..., None] if beta == 4 else r
+
+
 def scale_columns(beta: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """u diag(d) for a real diagonal d."""
-    if beta != 4:
-        return u * d[..., None, :]
-    return u * d[..., :, None]
+    """u diag(d) for a real diagonal d, batched over leading axes."""
+    return u * real_entries(beta, d[..., None, :])
 
 
 def embed_complex(beta: int, a: np.ndarray) -> np.ndarray:

@@ -292,9 +292,8 @@ def _auto_batch(beta: int, dim: int, requested: int) -> int:
 def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray:
     """Uniform unit vectors; equal in law to a Haar matrix's first column."""
     v = gauss_matrix(beta, size, dim, rng)
-    if beta == 4:
-        return v / np.sqrt(np.sum(field.abs2(4, v), axis=1))[:, None, None]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    norm = np.linalg.norm(v.reshape(size, -1), axis=1)
+    return v / norm.reshape((size,) + (1,) * (v.ndim - 1))
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -310,7 +309,7 @@ def _fast_grad_entries(beta: int, rho_t: np.ndarray, obs: np.ndarray,
     contributes through its own uniform frame vector(s).
     """
     diff = obs[None, :] - obs[:, None]
-    k = rho_t * (diff[..., None] if beta == 4 else diff)
+    k = rho_t * field.real_entries(beta, diff)
     cols = []
     for which, v in enumerate(vs):
         if beta == 1:

@@ -77,9 +77,9 @@ def _loss_prefactor(comp: SimpleComponent) -> tuple[float, int]:
     return pref, dof
 
 
-def _loss_diagonals(model: SectorModel, n_samples: int,
-                    rng: RngState) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-sector loss prefactors and (n_samples, dim) Wishart diagonals.
+def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
+    """Yields (component, loss prefactor, (n_samples, dim) Wishart diagonals)
+    one sector at a time, so a caller can reduce each before the next draw.
 
     Diagonal entries of a Wishart matrix built from independent Gaussian rows
     are themselves independent chi^2(beta * dof) / beta variables, so only the
@@ -87,25 +87,21 @@ def _loss_diagonals(model: SectorModel, n_samples: int,
     draws lives in the test suite.
     """
     g = rng.generator
-    prefs = np.empty(len(model.components))
-    diagonals = []
-    for a, comp in enumerate(model.components):
-        prefs[a], dof = _loss_prefactor(comp)
-        diagonals.append(g.chisquare(comp.beta * dof, size=(n_samples, comp.dim)) / comp.beta)
-    return prefs, diagonals
+    for comp in model.components:
+        pref, dof = _loss_prefactor(comp)
+        yield comp, pref, g.chisquare(comp.beta * dof, size=(n_samples, comp.dim)) / comp.beta
 
 
 def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
     """One draw of the per-sector losses that keeps its Wishart diagonals."""
-    prefs, batches = _loss_diagonals(model, 1, rng)
-    diagonals = tuple(d[0] for d in batches)
+    draws = [(comp, pref, diag[0]) for comp, pref, diag in _loss_diagonals(model, 1, rng)]
     z = np.array([pref * float(np.dot(comp.input_spectrum, diag))
-                  for comp, pref, diag in zip(model.components, prefs, diagonals)])
+                  for comp, pref, diag in draws])
     return LossDraw(
         per_component=z,
         total=float(np.sum(z)),
-        diagonals=diagonals,
-        prefactors=prefs,
+        diagonals=tuple(diag for _comp, _pref, diag in draws),
+        prefactors=np.array([pref for _comp, pref, _diag in draws], dtype=float),
     )
 
 
@@ -113,10 +109,9 @@ def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.n
     """(n_samples, n_components) array of per-sector loss draws."""
     if int(n_samples) != n_samples or n_samples < 1:
         raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    prefs, diagonals = _loss_diagonals(model, int(n_samples), rng)
-    out = np.empty((int(n_samples), len(prefs)))
-    for a, (comp, diag) in enumerate(zip(model.components, diagonals)):
-        out[:, a] = prefs[a] * (diag @ comp.input_spectrum)
+    out = np.empty((int(n_samples), len(model.components)))
+    for a, (comp, pref, diag) in enumerate(_loss_diagonals(model, int(n_samples), rng)):
+        out[:, a] = pref * (diag @ comp.input_spectrum)
     return out
 
 

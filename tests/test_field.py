@@ -111,6 +111,24 @@ class TestTraceScaleEye:
         np.testing.assert_allclose(field.scale_columns(beta, u, d),
                                    field.matmul(beta, u, diag), rtol=1e-14)
 
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_scale_columns_batched_diagonal(self, beta):
+        u = draw(beta, (2, 4, 3), 16)
+        d = np.array([[0.5, -2.0, 3.0], [1.5, 0.25, -1.0]])
+        got = field.scale_columns(beta, u, d)
+        for b in range(2):
+            np.testing.assert_array_equal(got[b], field.scale_columns(beta, u[b], d[b]))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_real_entries_act_entry_by_entry(self, beta):
+        a = draw(beta, (2, 3, 4), 17)
+        r = np.random.default_rng(18).uniform(0.5, 2.0, (2, 3, 4))
+        prod = a * field.real_entries(beta, r)
+        quot = a / field.real_entries(beta, r)
+        for idx in np.ndindex(r.shape):
+            np.testing.assert_array_equal(prod[idx], r[idx] * a[idx])
+            np.testing.assert_array_equal(quot[idx], a[idx] / r[idx])
+
     @pytest.mark.parametrize("beta,dtype", [(1, float), (2, complex), (4, float)])
     def test_eye(self, beta, dtype):
         e = field.eye(beta, 3)

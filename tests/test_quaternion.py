@@ -1,5 +1,6 @@
 """Quaternion arithmetic: field's beta = 4 layer on 1 x 1 matrices, the
-Hamilton-product oracle in helpers, and the complex 2 x 2 embedding."""
+Hamilton-product oracle in helpers, the package's qmul and qmatmul names,
+and the complex 2 x 2 embedding."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import qabs2, qconj, qdagger, qmatmul, qmul
-from wishartscape import field
+from wishartscape import field, quaternion
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 quat = st.tuples(finite, finite, finite, finite).map(lambda t: q(*t))
@@ -88,6 +89,27 @@ class TestArrayOps:
         np.testing.assert_allclose(qmul(a, qconj(a))[:, 0], qabs2(a), rtol=1e-12)
         np.testing.assert_allclose(qmul(a, qconj(a))[:, 1:], 0, atol=1e-12)
         np.testing.assert_allclose(field.abs2(4, a), qabs2(a), rtol=1e-15)
+
+
+class TestPackageProducts:
+    """wishartscape.quaternion keeps the names qmul and qmatmul on top of
+    field.matmul(4, .); both must agree with the Hamilton oracle."""
+
+    def test_qmul_broadcasts_like_the_oracle(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 1, 4))
+        b = rng.standard_normal((1, 5, 4))
+        out = quaternion.qmul(a, b)
+        assert out.shape == (3, 5, 4)
+        np.testing.assert_allclose(out, qmul(a, b), rtol=1e-12, atol=1e-15)
+
+    def test_qmatmul_matches_the_oracle(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((2, 1, 3, 4, 4))
+        b = rng.standard_normal((5, 4, 2, 4))
+        out = quaternion.qmatmul(a, b)
+        assert out.shape == (2, 5, 3, 2, 4)
+        np.testing.assert_allclose(out, qmatmul(a, b), rtol=1e-12, atol=1e-14)
 
 
 class TestEmbeddingOracle:

@@ -28,7 +28,12 @@ from wishartscape import (
     spectrum_from_pauli,
 )
 from wishartscape import field
-from wishartscape.simulator import GRAD_FD_STEP, HESS_FD_STEP, canonical_generator
+from wishartscape.simulator import (
+    GRAD_FD_STEP,
+    HESS_FD_STEP,
+    _sphere_vectors,
+    canonical_generator,
+)
 
 BETAS = [1, 2, 4]
 
@@ -190,6 +195,12 @@ class TestMcLandscape:
         assert mc.losses.mean() == pytest.approx(
             mean_expect, abs=5.0 * np.sqrt(var / n))
         assert mc.losses.var() == pytest.approx(var, rel=0.08)
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    def test_sphere_vectors_are_unit_columns(self, beta):
+        v = _sphere_vectors(beta, 5, 7, rng(43))
+        assert v.shape == ((7, 5) if beta == 2 else (7, 5, 4))
+        np.testing.assert_allclose(np.sum(field.abs2(beta, v), axis=1), 1.0, rtol=1e-14)
 
     def test_flat_observable_losses_vanish(self):
         comp = component(beta=2, dim=6, obs=np.full(6, 1.3))
