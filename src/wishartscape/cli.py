@@ -14,7 +14,7 @@ All CSV floats carry 17 significant digits so replays are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     WishartscapeError,
 )
+from .kstest import ks_1samp, ks_2samp
 from .landscape import (
     build_minima_density,
     gp_conditions,
@@ -115,11 +116,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], row: str, rows) -> None:
+    """Writes the header line, then one %-format of the template `row` per
+    tuple in `rows`; "%.16e" gives the same text as `_fmt`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in rows)
 
 
 def _out_dir(args) -> Path:
@@ -183,9 +185,8 @@ def _cmd_sample(args) -> int:
     n_comp = len(model.components)
     losses = sample_loss_batch(model, args.samples, rng)
     header = ["sample_id"] + [f"loss_{a}" for a in range(n_comp)] + ["total"]
-    rows = [[str(i)] + [_fmt(v) for v in losses[i]] + [_fmt(losses[i].sum())]
-            for i in range(args.samples)]
-    _write_csv(out / "losses.csv", header, rows)
+    _write_table(out / "losses.csv", header, "%d" + ",%.16e" * (n_comp + 1) + "\n",
+                 ((i, *values.tolist(), values.sum()) for i, values in enumerate(losses)))
     written = ["losses.csv"]
 
     rank1 = all(c.is_rank_one_input() for c in model.components)
@@ -228,6 +229,9 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.samples < 1:
         raise ValidationError(f"--samples must be positive, got {args.samples}")
+    # a NaN budget would refuse nothing: every comparison with it is false
+    if math.isnan(args.budget) or args.budget <= 0:
+        raise ValidationError(f"--budget must be positive, got {args.budget}")
     cost = 0.0
     for comp in model.components:
         if comp.dim > MAX_SIMULATE_DIM:
@@ -241,9 +245,6 @@ def _cmd_simulate(args) -> int:
             f"estimated cost {cost:.3e} operations exceeds budget {args.budget:.3e}; "
             "lower --samples or raise --budget"
         )
-    # scipy.stats is slow to import and only simulate's KS columns need it
-    from scipy import stats as sp_stats
-
     out = _out_dir(args)
     rng = RngState(args.seed)
     gof_rows = []
@@ -253,22 +254,19 @@ def _cmd_simulate(args) -> int:
                           collect=("loss", "grad"))
         p = comp.sector_params
         header = ["sample_id", "loss"] + [f"grad_{j}" for j in range(p)]
-        rows = []
-        for i in range(args.samples):
-            row = [str(i), _fmt(mc.losses[i])]
-            if p:
-                row += [_fmt(v) for v in mc.gradients[i]]
-            rows.append(row)
-        _write_csv(out / f"simulate_component_{a}.csv", header, rows)
+        table = np.column_stack([mc.losses, mc.gradients]) if p else mc.losses[:, None]
+        _write_table(out / f"simulate_component_{a}.csv", header,
+                     "%d" + ",%.16e" * (p + 1) + "\n",
+                     ((i, *values) for i, values in enumerate(table.tolist())))
 
         if comp.is_rank_one_input():
             loss_ref = "gamma-closed-form"
-            ks = sp_stats.kstest(mc.losses, lambda z: loss_cdf_rank1(comp, z))
+            ks = ks_1samp(mc.losses, lambda z: loss_cdf_rank1(comp, z))
         else:
             loss_ref = "wishart-two-sample"
             view = _single_sector_view(comp)
             ref = sample_loss_batch(view, args.samples, ref_rng)[:, 0]
-            ks = sp_stats.ks_2samp(mc.losses, ref)
+            ks = ks_2samp(mc.losses, ref)
         grad_stat = grad_p = ""
         if p and comp.is_rank_one_input():
             view = _single_sector_view(comp)
@@ -276,13 +274,11 @@ def _cmd_simulate(args) -> int:
             for i in range(args.samples):
                 draw = sample_gradient_given_loss(view, [mc.losses[i]], cond_rng)
                 synth[i] = draw.entries
-            gks = sp_stats.ks_2samp(mc.gradients.ravel(), synth.ravel())
-            grad_stat, grad_p = _fmt(gks.statistic), _fmt(gks.pvalue)
-        gof_rows.append([str(a), loss_ref, _fmt(ks.statistic), _fmt(ks.pvalue),
-                         grad_stat, grad_p])
-    _write_csv(out / "gof.csv",
-               ["component", "loss_reference", "loss_ks_stat", "loss_ks_pvalue",
-                "grad_ks_stat", "grad_ks_pvalue"], gof_rows)
+            grad_stat, grad_p = map(_fmt, ks_2samp(mc.gradients.ravel(), synth.ravel()))
+        gof_rows.append((a, loss_ref, *map(_fmt, ks), grad_stat, grad_p))
+    _write_table(out / "gof.csv",
+                 ["component", "loss_reference", "loss_ks_stat", "loss_ks_pvalue",
+                  "grad_ks_stat", "grad_ks_pvalue"], "%s,%s,%s,%s,%s,%s\n", gof_rows)
     print(f"wrote {len(model.components)} component file(s) and gof.csv to {out}")
     return 0
 
@@ -298,10 +294,10 @@ def _cmd_minima(args) -> int:
         print(f"sector {a}: parameter ratio {_g(gamma)} ({regime})")
     if density.point_mass:
         print("minima law: point mass at zero")
-        _write_csv(out / "minima.csv", ["z", "density"], [])
+        _write_table(out / "minima.csv", ["z", "density"], "", [])
         return 0
-    rows = [[_fmt(z), _fmt(d)] for z, d in zip(density.z_grid, density.density)]
-    _write_csv(out / "minima.csv", ["z", "density"], rows)
+    _write_table(out / "minima.csv", ["z", "density"], "%.16e,%.16e\n",
+                 zip(density.z_grid.tolist(), density.density.tolist()))
     print(f"grid mass: {_g(density.mass)}")
     k_eff, theta_eff = welch_satterthwaite(model)
     print(f"matched gamma: shape {_g(k_eff)}, scale {_g(theta_eff)}")

@@ -269,6 +269,19 @@ class TestSimulate:
                      "--budget", "100"]) == 2
         assert "exceeds budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1", "-inf"])
+    def test_budget_must_be_positive(self, budget, rank1_model, tmp_path, capsys):
+        # a NaN budget used to refuse nothing, so a huge run went ahead
+        assert main(["simulate", "--model", str(rank1_model), "--out",
+                     str(tmp_path / "o"), "--samples", "100000000",
+                     f"--budget={budget}"]) == 1
+        assert "--budget must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_budget_allowed(self, rank1_model, tmp_path):
+        assert main(["simulate", "--model", str(rank1_model), "--out",
+                     str(tmp_path), "--samples", "5", "--budget", "inf"]) == 0
+
     def test_dimension_cap(self, tmp_path, capsys):
         m = write_model(tmp_path / "big.json", dim=300, params=1)
         assert main(["simulate", "--model", str(m), "--out",
@@ -342,8 +355,8 @@ class TestTrainability:
 
 
 class TestColdStart:
-    """Only simulate's KS columns need scipy.stats, which takes over a second
-    to import; the package and the other commands import in numpy time."""
+    """No command loads scipy.stats, which takes over a second to import:
+    simulate's KS p-values come from `wishartscape.kstest`."""
 
     @staticmethod
     def _scipy_modules(code: str) -> list[str]:
@@ -363,7 +376,8 @@ class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert self._scipy_modules("import wishartscape") == []
 
-    @pytest.mark.parametrize("command", ["analyze", "minima", "trainability", "sample"])
+    @pytest.mark.parametrize("command", ["analyze", "minima", "trainability", "sample",
+                                         "simulate"])
     def test_command_loads_no_scipy_stats(self, command, tmp_path):
         model = str(write_model(tmp_path / "m.json"))
         argv = {
@@ -374,15 +388,15 @@ class TestColdStart:
                 str(write_model(tmp_path / f"m{n}.json", dim=n)) for n in (4, 8, 16)],
             "sample": ["sample", "--model", model, "--samples", "5",
                        "--out", str(tmp_path)],
+            "simulate": ["simulate", "--model", model, "--samples", "5",
+                         "--out", str(tmp_path)],
         }[command]
         loaded = self._command_modules(argv)
         assert [m for m in loaded if m.startswith("scipy.stats")] == []
 
-    def test_probe_sees_simulate_load_scipy_stats(self, tmp_path):
-        model = str(write_model(tmp_path / "m.json"))
-        loaded = self._command_modules(["simulate", "--model", model, "--samples", "5",
-                                        "--out", str(tmp_path)])
-        assert "scipy.stats" in loaded
+    def test_probe_sees_explicit_scipy_stats_import(self):
+        # control: the probe would see scipy.stats if anything loaded it
+        assert "scipy.stats" in self._scipy_modules("import wishartscape, scipy.stats")
 
 
 # Model documents for the fuzz test: a valid two-sector document with one
@@ -449,4 +463,19 @@ class TestFuzz:
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(doc))
         assert main(["analyze", "--model", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["minima", "--grid", "256"],
+                                      ["sample", "--samples", "2"],
+                                      ["simulate", "--samples", "2"]],
+                             ids=lambda argv: argv[0])
+    @given(doc=_model_documents())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_command_exits_cleanly_on_mutated_documents(self, argv, doc, tmp_path,
+                                                         capsys):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv, "--model", str(path), "--out", str(tmp_path / "out")]) \
+            in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
