@@ -17,7 +17,6 @@ from wishartscape import (
     build_minima_density,
     kac_rice_log_density,
     loss_pdf_rank1,
-    minima_density,
     rank1_gamma_params,
     spectral_stats,
 )
@@ -69,12 +68,9 @@ print(f"critical-point log-density peaks at z = {peak:.4f} "
       f"(spectrum mean {st.mean_eig:.4f})")
 print()
 
-# the callable wrapper interpolates the same profile on arbitrary points
+# the built profile interpolates on arbitrary points
 m = model_with(8)
 dens = build_minima_density(m, n_grid=2048)
 pts = np.array([0.2, 0.5, 0.8])
-wrapped = minima_density(m, pts)
-direct = dens.at(pts)
 print("interpolated minima density at z = 0.2, 0.5, 0.8")
-print(f"  wrapper: {wrapped}")
-print(f"  grid:    {direct}")
+print(f"  {dens.at(pts)}")

@@ -6,9 +6,11 @@ are plain float64 and complex128 ndarrays.  A quaternion matrix with entries
 a + b i + c j + d k is a float64 array shaped (..., n, m, 4) holding
 (a, b, c, d) in its trailing axis.  Quaternion arithmetic reads that array
 through a zero-copy complex view as the pair x = u + v j with u = a + b i and
-v = c + d i, so every product is a handful of complex matmuls.  The one
-other reader of the layout is simulator's fixed generators, which write (and
-read back) a quaternion unit i, j or k at entry (0, 0).
+v = c + d i, so every product is a handful of complex matmuls.  The
+simulator's generators take their quaternion unit from generator_block.  The
+readers of the layout left outside this module are randmat's draw code:
+_gauss_batch, _bartlett_mask, the Bartlett diagonal write and
+WishartSample.real_diagonal.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "adjoint",
     "gram",
     "eye",
+    "generator_block",
     "abs2",
     "re_trace_prod",
     "real_entries",
@@ -94,6 +97,21 @@ def eye(beta: int, n: int) -> np.ndarray:
     return out
 
 
+def generator_block(beta: int, which: int = 0) -> np.ndarray:
+    """Smallest anti-Hermitian matrix J over the field with J^2 = -I.
+
+    The 2 x 2 rotation [[0, 1], [-1, 0]] over R, i over C, and over H the
+    unit i, j or k picked by which % 3.
+    """
+    if beta == 1:
+        return np.array([[0.0, 1.0], [-1.0, 0.0]])
+    if beta == 2:
+        return np.array([[1j]])
+    out = np.zeros((1, 1, 4))
+    out[0, 0, 1 + which % 3] = 1.0
+    return out
+
+
 def abs2(beta: int, a: np.ndarray) -> np.ndarray:
     """Entrywise squared modulus, a real array of the matrix shape."""
     if beta != 4:
@@ -101,12 +119,13 @@ def abs2(beta: int, a: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=-1)
 
 
-def re_trace_prod(beta: int, a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b) for square matrices."""
+def re_trace_prod(beta: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a b) for square matrices, reduced over the matrix axes only, so
+    a batch gives one value per matrix and one matrix gives a scalar."""
     if beta != 4:
-        return float(np.real(np.sum(a * np.swapaxes(b, -2, -1))))
+        return np.real(np.sum(a * np.swapaxes(b, -2, -1), axis=(-2, -1)))
     # Re(q1 q2) = a1 a2 - b1 b2 - c1 c2 - d1 d2
-    return float(np.sum(a * np.swapaxes(b, -3, -2) * _CONJ))
+    return np.sum(a * np.swapaxes(b, -3, -2) * _CONJ, axis=(-3, -2, -1))
 
 
 def real_entries(beta: int, r: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "overparameterization_ratios",
     "MinimaDensity",
     "build_minima_density",
-    "minima_density",
     "welch_satterthwaite",
     "kac_rice_log_density",
     "GPReport",
@@ -154,12 +153,6 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
             "grid resolution insufficient for this model"
         )
     return MinimaDensity(z_grid=grid, density=density, point_mass=False, mass=mass)
-
-
-def minima_density(model: SectorModel, z) -> np.ndarray:
-    """Density of minima values at z (0 off-grid; see MinimaDensity for the
-    point-mass degenerate case)."""
-    return build_minima_density(model).at(z)
 
 
 def welch_satterthwaite(model: SectorModel) -> tuple[float, float]:

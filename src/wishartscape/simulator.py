@@ -48,47 +48,40 @@ def _conjugate_diag(beta: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return field.matmul(beta, field.scale_columns(beta, u, d), field.adjoint(beta, u))
 
 
+def _generator_block(comp: SimpleComponent, which: int) -> np.ndarray:
+    """The sector's generator block J (field.generator_block), checked to fit."""
+    j = field.generator_block(comp.beta, which)
+    if j.shape[0] > comp.dim:
+        raise UnsupportedConfigurationError(
+            f"a sector of dimension {comp.dim} has no continuous rotations: "
+            f"its generator block is {j.shape[0]} x {j.shape[0]}"
+        )
+    return j
+
+
 def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
     """Fixed anti-Hermitian unit generator number `which` for the sector.
 
-    Real sectors rotate in the first coordinate plane (needs dim >= 2);
-    complex sectors phase the first coordinate; quaternion sectors cycle the
-    three imaginary phases of the first coordinate.
+    The generator block J in the top-left corner and zeros elsewhere: real
+    sectors rotate in the first coordinate plane (needs dim >= 2); complex
+    sectors phase the first coordinate; quaternion sectors cycle the three
+    imaginary phases of the first coordinate.
     """
-    beta, dim = comp.beta, comp.dim
-    if beta == 1:
-        if dim < 2:
-            raise UnsupportedConfigurationError(
-                "a real sector of dimension 1 has no continuous rotations"
-            )
-        a = np.zeros((dim, dim))
-        a[0, 1] = 1.0
-        a[1, 0] = -1.0
-        return a
-    if beta == 2:
-        a = np.zeros((dim, dim), dtype=complex)
-        a[0, 0] = 1j
-        return a
-    a = np.zeros((dim, dim, 4))
-    a[0, 0, 1 + (which % 3)] = 1.0
+    j = _generator_block(comp, which)
+    k = j.shape[0]
+    a = np.zeros((comp.dim, comp.dim) + j.shape[2:], dtype=j.dtype)
+    a[:k, :k] = j
     return a
 
 
 def _exp_generator(comp: SimpleComponent, which: int, theta: float) -> np.ndarray:
-    """Closed-form exponential of theta times the canonical generator."""
+    """Closed-form exponential of theta times the canonical generator: the
+    identity with its k x k corner set to cos(theta) I + sin(theta) J."""
     beta = comp.beta
+    j = _generator_block(comp, which)
+    k = j.shape[0]
     m = field.eye(beta, comp.dim)
-    if beta == 1:
-        c, s = np.cos(theta), np.sin(theta)
-        m[0, 0] = c
-        m[0, 1] = s
-        m[1, 0] = -s
-        m[1, 1] = c
-    elif beta == 2:
-        m[0, 0] = np.exp(1j * theta)
-    else:
-        m[0, 0, 0] = np.cos(theta)
-        m[0, 0, 1 + (which % 3)] = np.sin(theta)
+    m[:k, :k] = np.cos(theta) * field.eye(beta, k) + np.sin(theta) * j
     return m
 
 
@@ -114,13 +107,9 @@ def build_ansatz(comp: SimpleComponent, rng: RngState) -> AnsatzInstance:
     """Draws the Haar frames for one circuit with sector_params parameters."""
     p = comp.sector_params
     beta, dim = comp.beta, comp.dim
-    if p > 0 and beta == 1 and dim < 2:
-        raise UnsupportedConfigurationError(
-            "a real sector of dimension 1 has no continuous rotations"
-        )
+    generators = tuple(canonical_generator(comp, i) for i in range(p))
     state_frame = haar_group(beta, dim, rng)
     observable_frame = haar_group(beta, dim, rng)
-    generators = tuple(canonical_generator(comp, i) for i in range(p))
     conjugators = tuple(haar_group(beta, dim, rng) for _ in range(p))
     return AnsatzInstance(
         component=comp,
@@ -154,7 +143,7 @@ def loss_eval(inst: AnsatzInstance, theta) -> float:
         layer = _conjugate(beta, inst.conjugators[i], _exp_generator(comp, i, float(t)))
         v = field.matmul(beta, v, layer)
     m = field.matmul(beta, field.matmul(beta, field.adjoint(beta, v), obs_t), v)
-    return comp.index * field.re_trace_prod(beta, rho_t, m)
+    return float(comp.index * field.re_trace_prod(beta, rho_t, m))
 
 
 def grad_eval(inst: AnsatzInstance) -> np.ndarray:
@@ -169,36 +158,38 @@ def grad_eval(inst: AnsatzInstance) -> np.ndarray:
     return out
 
 
-def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
-    """Analytic Hessian at theta = 0.
+def _commutator(beta: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return field.matmul(beta, x, y) - field.matmul(beta, y, x)
+
+
+def _hessian_entries(beta: int, rho_t: np.ndarray, obs_t: np.ndarray,
+                     gens: np.ndarray) -> np.ndarray:
+    """index-free Hessian at theta = 0 from the conjugated generators A~_a,
+    stacked on the leading axis of gens.
 
     For a <= b (a the earlier factor in the circuit product) the entry is
-    index * Re tr(rho~ (A~_b A~_a O~ + O~ A~_a A~_b - A~_a O~ A~_b
-    - A~_b O~ A~_a)), the nested-commutator form.
+    Re tr(rho~ [A~_b, [A~_a, O~]]) = Re tr([rho~, A~_b] [A~_a, O~]), the
+    nested-commutator form.  Batched over the axes after the stacking axis,
+    which come out first.
     """
-    comp = inst.component
-    beta = comp.beta
-    p = inst.n_params
-    rho_t, obs_t = _frames(inst)
-    conj_gens = [inst.conjugated_generator(i) for i in range(p)]
-
-    def mm(x, y):
-        return field.matmul(beta, x, y)
-
-    left = [mm(g, obs_t) for g in conj_gens]   # A~_a O~
-    right = [mm(obs_t, g) for g in conj_gens]  # O~ A~_a
-    out = np.empty((p, p))
+    left = _commutator(beta, rho_t, gens)
+    right = _commutator(beta, gens, obs_t)
+    p = len(gens)
+    rows = [[None] * p for _ in range(p)]
     for a in range(p):
         for b in range(a, p):
-            term = (
-                mm(conj_gens[b], left[a])
-                + mm(right[a], conj_gens[b])
-                - mm(left[a], conj_gens[b])
-                - mm(conj_gens[b], right[a])
-            )
-            val = comp.index * field.re_trace_prod(beta, rho_t, term)
-            out[a, b] = out[b, a] = val
-    return out
+            rows[a][b] = rows[b][a] = field.re_trace_prod(beta, left[b], right[a])
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
+    """Analytic Hessian at theta = 0 (see _hessian_entries)."""
+    comp = inst.component
+    if inst.n_params == 0:
+        return np.empty((0, 0))
+    rho_t, obs_t = _frames(inst)
+    gens = np.stack([inst.conjugated_generator(i) for i in range(inst.n_params)])
+    return comp.index * _hessian_entries(comp.beta, rho_t, obs_t, gens)
 
 
 def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
@@ -278,15 +269,21 @@ class McLandscape:
 
 
 _COLLECT = ("loss", "grad", "hessian")
+BATCH_BYTES = 6.0e7
 
 
-def _auto_batch(beta: int, dim: int, requested: int) -> int:
-    # Bytes per entry of the largest array a batch holds, the Gaussian the QR
-    # factors: for beta = 4 its 2N x 2N complex image, 4 complex128 per entry.
-    # The QR's copies make a batch peak at about four times the cap.
-    entry_bytes = {1: 8, 2: 16, 4: 64}[beta]
-    cap = max(1, int(6.0e7 / (dim * dim * entry_bytes)))
-    return max(1, min(requested, cap))
+def _auto_batch(beta: int, dim: int, hess_params: int, requested: int) -> int:
+    """Draws per batch, so that a batch peaks below BATCH_BYTES.
+
+    Measured with tracemalloc, one draw peaks at about 4.5 N x N matrices of
+    the QR's complex image (8, 16 or 64 bytes per entry: for beta = 4 the
+    image is 2N x 2N), and collecting the Hessian adds about 4 N x N field
+    matrices per parameter (8, 16 or 32 bytes per entry) for the generators
+    and their commutators.  Both counts are rounded up to 5.
+    """
+    image, entry = {1: (8, 8), 2: (16, 16), 4: (64, 32)}[beta]
+    draw_bytes = 5 * dim * dim * (image + hess_params * entry)
+    return max(1, min(requested, int(BATCH_BYTES / draw_bytes)))
 
 
 def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray:
@@ -296,50 +293,33 @@ def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray
     return v / norm.reshape((size,) + (1,) * (v.ndim - 1))
 
 
+def _frame(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
+    """First k columns of size independent Haar matrices, shaped (size, dim, k)."""
+    if k == 1:
+        return _sphere_vectors(beta, dim, size, rng)[:, :, None]
+    return haar_columns(beta, dim, k, rng, size=size)
+
+
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """index-free losses sum_mu rho_mu (U^dagger O U)_mumu from one Haar batch."""
     return np.einsum("bij,i,j->b", field.abs2(beta, u), obs, rho)
-
-
-def _fast_grad_entries(beta: int, rho_t: np.ndarray, obs: np.ndarray,
-                       vs: list[np.ndarray]) -> np.ndarray:
-    """Gradient entries at theta = 0 given the conjugated state.
-
-    K = [rho~, diag(o)] has entries rho~_ab (o_b - o_a); each parameter
-    contributes through its own uniform frame vector(s).
-    """
-    diff = obs[None, :] - obs[:, None]
-    k = rho_t * field.real_entries(beta, diff)
-    cols = []
-    for which, v in enumerate(vs):
-        if beta == 1:
-            v1, v2 = v[:, :, 0], v[:, :, 1]
-            kv1 = np.einsum("bnm,bm->bn", k, v1)
-            kv2 = np.einsum("bnm,bm->bn", k, v2)
-            cols.append(
-                np.einsum("bn,bn->b", v2, kv1) - np.einsum("bn,bn->b", v1, kv2)
-            )
-        elif beta == 2:
-            kv = np.einsum("bnm,bm->bn", k, v)
-            s = np.einsum("bn,bn->b", np.conj(v), kv)
-            cols.append(-np.imag(s))
-        else:
-            col = v[:, :, None, :]
-            s = field.matmul(4, field.adjoint(4, col), field.matmul(4, k, col))
-            # Re(q_c s) = -s_component for the unit imaginary q_c
-            cols.append(-s[:, 0, 0, 1 + (which % 3)])
-    return np.stack(cols, axis=1)
 
 
 def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
                  collect=("loss",), batch_size: int = 4096) -> McLandscape:
     """Monte Carlo distributions of loss, gradient and Hessian entries.
 
-    Losses come back relative to the floor index * min(o) * tr(rho).  The
-    loss/gradient path batches Haar draws after reducing the frame algebra
-    to a single conjugation (exact in law; the reduction is itself tested
-    against the instance-by-instance route).  Collecting "hessian" switches
-    to the instance loop, which is exact but much slower.
+    Losses come back relative to the floor index * min(o) * tr(rho); only
+    the quantities named in collect are returned.  Every quantity comes from
+    one batched route that reduces the frame algebra in law: O~ = diag(o),
+    rho~ = u diag(rho) u^dagger with u Haar, and each parameter's conjugated
+    generator A~ = G J G^dagger with G the first k columns of its own Haar
+    frame and J the k x k generator block.  Gradient entries are
+    Re tr(G^dagger [rho~, O~] G J); the Hessian is _hessian_entries, the
+    formula hessian_eval uses.  The instance-by-instance route (build_ansatz
+    with loss_eval, grad_eval and hessian_eval) stays as the tests' oracle.
+    For the same seed and batch size, adding "hessian" leaves the losses and
+    gradients unchanged.
     """
     collect = tuple(collect)
     for c in collect:
@@ -357,47 +337,46 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     p = comp.sector_params
     want_grad = "grad" in collect
     want_hess = "hessian" in collect
-    if (want_grad or want_hess) and p < 1:
+    want_frames = want_grad or want_hess
+    if want_frames and p < 1:
         raise ValidationError("gradient or Hessian collection needs sector_params >= 1")
 
-    if want_hess:
-        losses = np.empty(n_samples)
-        grads = np.empty((n_samples, p))
-        hessians = np.empty((n_samples, p, p))
-        zeros = np.zeros(p)
-        for s in range(n_samples):
-            inst = build_ansatz(comp, rng)
-            losses[s] = loss_eval(inst, zeros) - floor
-            grads[s] = grad_eval(inst)
-            hessians[s] = hessian_eval(inst)
-        return McLandscape(
-            loss_floor=floor,
-            losses=losses,
-            gradients=grads,
-            hessians=hessians,
-        )
-
-    batch = _auto_batch(beta, dim, batch_size)
+    if want_frames:
+        # one generator block per parameter, stacked to broadcast over a batch
+        blocks = np.stack([_generator_block(comp, i) for i in range(p)])[:, None]
+        k = blocks.shape[2]
+        # [rho~, diag(o)] has entries rho~_ab (o_b - o_a)
+        obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
+        obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
+    batch = _auto_batch(beta, dim, p if want_hess else 0, batch_size)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    hessians = np.empty((n_samples, p, p)) if want_hess else None
+
+    # one batch per call, so that its arrays are freed before the next draws
+    def draw(rows: slice) -> None:
+        b = rows.stop - rows.start
         u = haar_group(beta, dim, rng, size=b)
         if losses is not None:
             raw = comp.index * _fast_losses(beta, u, obs, rho)
-            losses[done:done + b] = raw - floor
+            losses[rows] = raw - floor
+        if not want_frames:
+            return
+        rho_t = _conjugate_diag(beta, u, rho)
+        # frames[i]: parameter i's G, shaped (b, dim, k)
+        frames = np.stack([_frame(beta, dim, k, b, rng) for _ in range(p)])
         if want_grad:
-            rho_t = _conjugate_diag(beta, u, rho)
-            vs = []
-            for i in range(p):
-                if beta == 1:
-                    vs.append(haar_columns(1, dim, 2, rng, size=b))
-                else:
-                    vs.append(_sphere_vectors(beta, dim, b, rng))
-            grads[done:done + b] = comp.index * _fast_grad_entries(beta, rho_t, obs, vs)
-        done += b
-    return McLandscape(loss_floor=floor, losses=losses, gradients=grads, hessians=None)
+            kg = field.matmul(beta, rho_t * obs_gaps, frames)
+            entries = field.re_trace_prod(
+                beta, field.matmul(beta, field.adjoint(beta, frames), kg), blocks)
+            grads[rows] = comp.index * entries.T
+        if want_hess:
+            gens = _conjugate(beta, frames, blocks)
+            hessians[rows] = comp.index * _hessian_entries(beta, rho_t, obs_t, gens)
+
+    for start in range(0, n_samples, batch):
+        draw(slice(start, min(start + batch, n_samples)))
+    return McLandscape(loss_floor=floor, losses=losses, gradients=grads, hessians=hessians)
 
 
 _PAULIS = {

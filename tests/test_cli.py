@@ -255,6 +255,19 @@ class TestSimulate:
         assert FLOAT_RE.match(gof[1][2])
         assert FLOAT_RE.match(gof[1][4])   # rank-one: gradient gof present
 
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_gradient_gof_compares_one_entry_per_sample(self, rank1_model, tmp_path, seed):
+        # entries of one sample share its state, so the gradient KS compares
+        # the first entry of each of the n samples: an equal-size two-sample
+        # statistic is a multiple of 1/n.  Pooling all p = 3 entries would
+        # give a multiple of 1/(3n) instead
+        n = 40
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", str(rank1_model), "--out", str(out),
+                     "--samples", str(n), "--seed", str(seed)]) == 0
+        stat = float(read_rows(out / "gof.csv")[1][4]) * n
+        assert stat == pytest.approx(round(stat), abs=1e-9)
+
     def test_mixed_two_sample_reference(self, mixed_model, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--model", str(mixed_model), "--out", str(out),

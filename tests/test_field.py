@@ -104,6 +104,31 @@ class TestTraceScaleEye:
             assert got == pytest.approx(np.trace(a @ b).real, rel=1e-12)
 
     @pytest.mark.parametrize("beta", BETAS)
+    def test_re_trace_prod_reduces_matrix_axes_only(self, beta):
+        a, b = draw(beta, (3, 2, 4, 4), 19), draw(beta, (2, 4, 4), 20)
+        got = field.re_trace_prod(beta, a, b)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            assert got[idx] == pytest.approx(field.re_trace_prod(beta, a[idx], b[idx[1]]),
+                                             rel=1e-14)
+
+    @pytest.mark.parametrize("beta,size", [(1, 2), (2, 1), (4, 1)])
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_generator_block_squares_to_minus_identity(self, beta, size, which):
+        j = field.generator_block(beta, which)
+        assert j.shape[:2] == (size, size)
+        np.testing.assert_array_equal(field.matmul(beta, j, j), -field.eye(beta, size))
+        np.testing.assert_array_equal(field.adjoint(beta, j), -j)
+
+    def test_quaternion_generator_blocks_cycle_units(self):
+        units = [field.generator_block(4, which)[0, 0] for which in range(4)]
+        np.testing.assert_array_equal(units, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                              [0, 1, 0, 0]])
+        # i j = k
+        ij = field.matmul(4, field.generator_block(4, 0), field.generator_block(4, 1))
+        np.testing.assert_array_equal(ij, field.generator_block(4, 2))
+
+    @pytest.mark.parametrize("beta", BETAS)
     def test_scale_columns_is_product_with_diagonal(self, beta):
         u = draw(beta, (2, 4, 3), 14)
         d = np.array([0.5, -2.0, 3.0])

@@ -21,7 +21,6 @@ from wishartscape import (
     loss_variance,
     low_purity_applicable,
     low_purity_bound,
-    minima_density,
     overparameterization_ratios,
     regularized_hessian_sample,
     spectral_stats,
@@ -149,12 +148,11 @@ class TestMinimaDensity:
         density = build_minima_density(single_model(comp))
         assert density.mass == pytest.approx(1.0, abs=1e-3)
 
-    def test_minima_density_wrapper_interpolates(self):
+    def test_at_interpolates_grid(self):
         comp = component(beta=2, dim=16, params=8)
-        model = single_model(comp)
-        density = build_minima_density(model)
+        density = build_minima_density(single_model(comp))
         z = density.z_grid[100]
-        assert minima_density(model, z) == pytest.approx(density.density[100])
+        assert density.at(z) == pytest.approx(density.density[100])
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,8 @@
 """Exact circuit simulator: analytic derivatives vs finite differences, and
 the batched sampling reduction vs the instance-by-instance route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -28,9 +30,15 @@ from wishartscape import (
     spectrum_from_pauli,
 )
 from wishartscape import field
+from wishartscape.randmat import haar_group
 from wishartscape.simulator import (
+    BATCH_BYTES,
     GRAD_FD_STEP,
     HESS_FD_STEP,
+    AnsatzInstance,
+    _auto_batch,
+    _exp_generator,
+    _frame,
     _sphere_vectors,
     canonical_generator,
 )
@@ -82,6 +90,16 @@ class TestAnsatz:
         assert gens[2][0, 0, 3] == 1.0
         assert gens[3][0, 0, 1] == 1.0
 
+    def test_complex_exponential_is_numpy_exp(self):
+        comp = component(beta=2, dim=3, params=1)
+        g = np.random.default_rng(5)
+        thetas = np.concatenate([g.uniform(-10.0, 10.0, 2000), g.normal(size=200) * 1e-8,
+                                 [0.0, -0.0, np.pi / 2, -np.pi, 2 * np.pi]])
+        got = np.array([_exp_generator(comp, 0, float(t))[0, 0] for t in thetas])
+        want = np.exp(1j * thetas)
+        np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
+        assert not np.any(np.signbit(got.view(np.float64)) ^ np.signbit(want.view(np.float64)))
+
     def test_real_dim_one_rejected(self):
         comp = component(beta=1, dim=1, obs=[1.0], rho=[1.0], params=1)
         with pytest.raises(UnsupportedConfigurationError):
@@ -92,6 +110,8 @@ class TestAnsatz:
         inst = build_ansatz(comp, rng(0))
         assert inst.n_params == 0
         assert loss_eval(inst, []) == pytest.approx(1.0)
+        assert grad_eval(inst).shape == (0,)
+        assert hessian_eval(inst).shape == (0, 0)
 
 
 class TestLossEval:
@@ -210,18 +230,91 @@ class TestMcLandscape:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_batched_route_matches_instance_route(self, beta):
-        # the fast path reduces the frame algebra to one conjugation; the
-        # slow path builds every circuit explicitly
+        # mc_landscape reduces the frame algebra in law to one conjugation
+        # and one k-column frame per parameter; the instance route builds
+        # every circuit explicitly and differentiates it
         comp = component(beta=beta, dim=6, rho=[0.6, 0.4, 0, 0, 0, 0], params=2)
         n = 1000
-        fast = mc_landscape(comp, n, rng(51), collect=("loss", "grad"))
-        slow = mc_landscape(comp, n, rng(52), collect=("loss", "grad", "hessian"))
+        fast = mc_landscape(comp, n, rng(51), collect=("loss", "grad", "hessian"))
+        slow_rng = rng(52)
+        slow_loss = np.empty(n)
+        slow_grad = np.empty((n, 2))
+        slow_hess = np.empty((n, 2, 2))
+        for s in range(n):
+            inst = build_ansatz(comp, slow_rng)
+            slow_loss[s] = loss_eval(inst, np.zeros(2)) - fast.loss_floor
+            slow_grad[s] = grad_eval(inst)
+            slow_hess[s] = hessian_eval(inst)
         crit = ks_2samp_critical(n, n, alpha=0.01)
-        loss_stat = sp_stats.ks_2samp(fast.losses, slow.losses).statistic
-        grad_stat = sp_stats.ks_2samp(fast.gradients[:, 0],
-                                      slow.gradients[:, 0]).statistic
-        assert loss_stat < crit
-        assert grad_stat < crit
+        pairs = {
+            "loss": (fast.losses, slow_loss),
+            "grad_0": (fast.gradients[:, 0], slow_grad[:, 0]),
+            "H_00": (fast.hessians[:, 0, 0], slow_hess[:, 0, 0]),
+            "H_01": (fast.hessians[:, 0, 1], slow_hess[:, 0, 1]),
+        }
+        for name, (a, b) in pairs.items():
+            assert sp_stats.ks_2samp(a, b).statistic < crit, name
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
+    def test_batched_derivatives_match_instance_formulas(self, beta, rho):
+        # the same frames through both formulas: redraw the batch's Haar
+        # matrix u and parameter frames G from the same stream, then hand
+        # grad_eval and hessian_eval the circuit with O~ = diag(o),
+        # rho~ = u diag(rho) u^dagger and conjugated generators G J G^dagger
+        spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2, 0, 0, 0],
+                   "full": np.arange(1.0, 7.0) / 21.0}
+        comp = component(beta=beta, dim=6, rho=spectra[rho], index=1.5, params=3)
+        n = 5
+        mc = mc_landscape(comp, n, rng(61), collect=("grad", "hessian"))
+        r = rng(61)
+        u = haar_group(beta, 6, r, size=n)
+        blocks = [field.generator_block(beta, i) for i in range(3)]
+        frames = [_frame(beta, 6, j.shape[0], n, r) for j in blocks]
+        ident = field.eye(beta, 6)
+        for s in range(n):
+            gens = tuple(field.matmul(beta, field.matmul(beta, g[s], j), field.adjoint(beta, g[s]))
+                         for g, j in zip(frames, blocks))
+            inst = AnsatzInstance(component=comp, generators=gens, conjugators=(ident,) * 3,
+                                  state_frame=ident, observable_frame=u[s])
+            np.testing.assert_allclose(mc.gradients[s], grad_eval(inst), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(mc.hessians[s], hessian_eval(inst), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_hessian_leaves_losses_and_gradients_unchanged(self, beta):
+        comp = component(beta=beta, dim=6, rho=[0.6, 0.4, 0, 0, 0, 0], params=3)
+        a = mc_landscape(comp, 300, rng(58), collect=("loss", "grad"))
+        b = mc_landscape(comp, 300, rng(58), collect=("loss", "grad", "hessian"))
+        np.testing.assert_array_equal(a.losses, b.losses)
+        np.testing.assert_array_equal(a.gradients, b.gradients)
+
+    def test_returns_only_collected_quantities(self):
+        comp = component(beta=2, dim=5, params=2)
+        mc = mc_landscape(comp, 4, rng(59), collect=("hessian",))
+        assert mc.losses is None and mc.gradients is None
+        assert mc.hessians.shape == (4, 2, 2)
+
+    @pytest.mark.parametrize("beta,dim,params,collect", [
+        (1, 64, 3, ("loss", "grad")),
+        (2, 64, 3, ("loss", "grad")),
+        (4, 64, 3, ("loss", "grad")),
+        (1, 16, 8, ("loss", "grad", "hessian")),
+        (2, 16, 8, ("loss", "grad", "hessian")),
+        (4, 16, 8, ("loss", "grad", "hessian")),
+    ])
+    def test_batches_peak_below_cap(self, beta, dim, params, collect):
+        # two full batches and one draw, so that a batch's arrays would show
+        # if they outlived it into the next batch's draws
+        comp = component(beta=beta, dim=dim, rho=[0.5, 0.3, 0.2] + [0.0] * (dim - 3),
+                         params=params)
+        batch = _auto_batch(beta, dim, params if "hessian" in collect else 0, 10**9)
+        tracemalloc.start()
+        try:
+            mc_landscape(comp, 2 * batch + 1, rng(60), collect=collect, batch_size=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BATCH_BYTES
 
     def test_hessian_route_shapes(self):
         comp = component(beta=2, dim=5, params=3)
