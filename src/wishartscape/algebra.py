@@ -76,15 +76,23 @@ def field_from_symbol(symbol: str) -> FieldTag:
     return _SYMBOLS[symbol]
 
 
-def _checked(value, ok, message: str):
-    """value when ok(value) holds; message for anything else, non-numbers included."""
+def _checked(name: str, value, ok, rule: str):
+    """value when ok(value) holds; for anything else, non-numbers included, a
+    ValidationError saying that name must be rule (built only then)."""
     try:
         good = not isinstance(value, (str, bool)) and bool(ok(value))
     except (TypeError, ValueError, OverflowError):
         good = False
     if not good:
-        raise ValidationError(message)
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int when it is a whole number >= 1, by _checked's rule."""
+    if type(value) is int and value >= 1:  # plain ints, the common case, skip the rule
+        return value
+    return int(_checked(name, value, lambda v: int(v) == v >= 1, "a positive integer"))
 
 
 def _spectrum(name: str, values, dim: int) -> np.ndarray:
@@ -126,19 +134,16 @@ class SimpleComponent:
     def __post_init__(self):
         if not isinstance(self.field, FieldTag):
             object.__setattr__(self, "field", FieldTag(beta_of(self.field)))
-        object.__setattr__(self, "dim", int(_checked(
-            self.dim, lambda v: int(v) == v >= 1,
-            f"dim must be a positive integer, got {self.dim!r}")))
+        object.__setattr__(self, "dim", positive_int("dim", self.dim))
         object.__setattr__(self, "index", float(_checked(
-            self.index, lambda v: np.isfinite(v) and v >= 1,
-            f"index must be a finite number >= 1, got {self.index!r}")))
+            "index", self.index, lambda v: np.isfinite(v) and v >= 1, "a finite number >= 1")))
         obs = np.sort(_spectrum("observable_spectrum", self.observable_spectrum, self.dim))
         inp = np.sort(_spectrum("input_spectrum", self.input_spectrum, self.dim))[::-1]
         if np.any(inp < 0.0) or not np.any(inp > 0.0):
             raise ValidationError("input_spectrum must be nonnegative with positive trace")
         object.__setattr__(self, "sector_params", int(_checked(
-            self.sector_params, lambda v: int(v) == v >= 0,
-            f"sector_params must be a nonnegative integer, got {self.sector_params!r}")))
+            "sector_params", self.sector_params, lambda v: int(v) == v >= 0,
+            "a nonnegative integer")))
         obs.setflags(write=False)
         inp.setflags(write=False)
         object.__setattr__(self, "observable_spectrum", obs)
@@ -182,9 +187,7 @@ class SectorModel:
         if any(not isinstance(c, SimpleComponent) for c in comps):
             raise ValidationError("components must be SimpleComponent instances")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "total_params", int(_checked(
-            self.total_params, lambda v: int(v) == v >= 1,
-            f"total_params must be a positive integer, got {self.total_params!r}")))
+        object.__setattr__(self, "total_params", positive_int("total_params", self.total_params))
         sector_sum = sum(c.sector_params for c in comps)
         if sector_sum > self.total_params:
             raise ValidationError(
@@ -192,8 +195,8 @@ class SectorModel:
                 f"total_params {self.total_params}"
             )
         object.__setattr__(self, "normalization", float(_checked(
-            self.normalization, lambda v: np.isfinite(v) and v > 0,
-            f"normalization must be a positive float, got {self.normalization!r}")))
+            "normalization", self.normalization, lambda v: np.isfinite(v) and v > 0,
+            "a positive float")))
 
 
 @dataclass(frozen=True)
@@ -293,14 +296,13 @@ def index_constant(ambient_trace: float, defining_trace: float) -> float:
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Real trace pairing Re tr(a^dagger b), uniform across the three fields."""
+    """Real trace pairing Re tr(a^dagger b) = Re sum conj(a) b over the stored
+    entries, which holds for the real, complex and quaternion layouts alike."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch in pairing: {a.shape} vs {b.shape}")
-    if a.ndim == 3 and a.shape[-1] == 4:
-        return float(np.sum(a * b))
-    return float(np.real(np.sum(np.conj(a) * b)))
+    return float(np.real(np.vdot(a, b)))
 
 
 def project_into_component(matrix: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:

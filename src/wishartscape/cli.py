@@ -29,6 +29,7 @@ from .errors import (
 )
 from .kstest import ks_1samp, ks_2samp
 from .landscape import (
+    _sector_scale,
     build_minima_density,
     gp_conditions,
     kac_rice_log_density,
@@ -55,6 +56,11 @@ MAX_SIMULATE_DIM = 256
 DEFAULT_BUDGET = 1e10
 
 _REGIME = {-1: "underparameterized", 0: "critical", 1: "overparameterized"}
+
+
+def _regime(gamma: float) -> str:
+    """Regime label of a sector's parameter ratio."""
+    return _REGIME[int(np.sign(gamma - 1.0))] if gamma > 0 else "no parameters"
 
 
 def _fmt(x: float) -> str:
@@ -143,7 +149,6 @@ def _cmd_analyze(args) -> int:
     for a, comp in enumerate(model.components):
         st = spectral_stats(comp)
         gamma = ratios[a]
-        regime = _REGIME[int(np.sign(gamma - 1.0))] if gamma > 0 else "no parameters"
         print(f"sector {a}: field {comp.field.symbol}, dim {comp.dim}, "
               f"index {_g(comp.index)}, params {comp.sector_params}")
         print(f"  observable (zero-shifted): mean {_g(st.mean_eig)}, "
@@ -151,11 +156,10 @@ def _cmd_analyze(args) -> int:
         print(f"  effective dof: {_g(st.dof_real)} (rounded {st.dof})")
         print(f"  input: trace {_g(comp.input_trace)}, purity {_g(comp.input_purity)}, "
               f"rank-one: {'yes' if comp.is_rank_one_input() else 'no'}")
-        print(f"  parameter ratio: {_g(gamma)} ({regime})")
+        print(f"  parameter ratio: {_g(gamma)} ({_regime(gamma)})")
         if 0.0 < gamma < 1.0:
-            scale = comp.index * st.mean_eig * comp.input_trace
             print(f"  critical-point log-density per parameter at the sector "
-                  f"mean: {_g(kac_rice_log_density(comp, scale))}")
+                  f"mean: {_g(kac_rice_log_density(comp, _sector_scale(comp)))}")
         if low_purity_applicable(comp):
             print(f"  low-purity variance ceiling: "
                   f"{_g(low_purity_bound(comp, model.normalization))}")
@@ -290,10 +294,8 @@ def _cmd_minima(args) -> int:
     out = _out_dir(args)
     density = build_minima_density(model, n_grid=args.grid)
     ratios = overparameterization_ratios(model)
-    for a, comp in enumerate(model.components):
-        gamma = ratios[a]
-        regime = _REGIME[int(np.sign(gamma - 1.0))] if gamma > 0 else "no parameters"
-        print(f"sector {a}: parameter ratio {_g(gamma)} ({regime})")
+    for a, gamma in enumerate(ratios):
+        print(f"sector {a}: parameter ratio {_g(gamma)} ({_regime(gamma)})")
     if density.point_mass:
         print("minima law: point mass at zero")
         _write_table(out / "minima.csv", ["z", "density"], "", [])

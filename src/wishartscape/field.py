@@ -7,10 +7,9 @@ a + b i + c j + d k is a float64 array shaped (..., n, m, 4) holding
 (a, b, c, d) in its trailing axis.  Quaternion arithmetic reads that array
 through a zero-copy complex view as the pair x = u + v j with u = a + b i and
 v = c + d i, so every product is a handful of complex matmuls.  The
-simulator's generators take their quaternion unit from generator_block.  The
-readers of the layout left outside this module are randmat's draw code:
-_gauss_batch, _bartlett_mask, the Bartlett diagonal write and
-WishartSample.real_diagonal.
+simulator's generators take their quaternion unit from generator_block, and
+randmat builds and reads its draws through from_components, real_entries,
+real_part and set_real_diagonal, so no other module reads the layout.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ __all__ = [
     "abs2",
     "re_trace_prod",
     "real_entries",
+    "real_part",
+    "set_real_diagonal",
+    "from_components",
     "scale_columns",
     "embed_complex",
     "unembed_complex",
@@ -132,6 +134,26 @@ def real_entries(beta: int, r: np.ndarray) -> np.ndarray:
     """A real array shaped like a matrix (or a batch of them), viewed so that
     it multiplies or divides a matrix over the field entry by entry."""
     return r[..., None] if beta == 4 else r
+
+
+def real_part(beta: int, a: np.ndarray) -> np.ndarray:
+    """Real part of every entry, a real array of the matrix shape."""
+    return a[..., 0] if beta == 4 else np.real(a)
+
+
+def set_real_diagonal(beta: int, a: np.ndarray, d: np.ndarray) -> None:
+    """a[i, i] = d[i] in place for real d of length min(n, m): a complex entry
+    is overwritten whole (imaginary part +0), a quaternion entry in its real
+    component only."""
+    np.fill_diagonal(a[..., 0] if beta == 4 else a, d)
+
+
+def from_components(beta: int, parts: np.ndarray) -> np.ndarray:
+    """Matrices over the field from the beta real components of each entry,
+    held on the trailing axis of parts."""
+    if beta == 4:
+        return parts
+    return (parts.view(complex) if beta == 2 else parts)[..., 0]
 
 
 def scale_columns(beta: int, u: np.ndarray, d: np.ndarray) -> np.ndarray:

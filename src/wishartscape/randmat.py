@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .algebra import positive_int
 from .errors import ValidationError
 from . import field
 
@@ -53,12 +54,6 @@ def _check_beta(beta: int) -> int:
     return int(beta)
 
 
-def _check_positive(name: str, value: int) -> int:
-    if int(value) != value or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 class RngState:
     """Deterministic random stream with reproducible splitting.
 
@@ -81,7 +76,7 @@ class RngState:
         return self._generator
 
     def split(self, n: int) -> list["RngState"]:
-        n = _check_positive("n", n)
+        n = positive_int("n", n)
         return [RngState(child) for child in self._seq.spawn(n)]
 
     def __repr__(self) -> str:
@@ -94,22 +89,12 @@ def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
     Every real component of every entry is independent N(0, 1).
     """
     _check_beta(beta)
-    _check_positive("rows", rows)
-    _check_positive("cols", cols)
-    return _gauss_batch(beta, None, rows, cols, rng)
+    return _gauss(beta, (positive_int("rows", rows), positive_int("cols", cols)), rng)
 
 
-def _gauss_batch(beta: int, size: int | None, rows: int, cols: int,
-                 rng: RngState) -> np.ndarray:
-    """size Gaussian rows x cols matrices; size=None draws one, unbatched."""
-    g = rng.generator
-    shape = (rows, cols) if size is None else (size, rows, cols)
-    if beta == 1:
-        return g.standard_normal(shape)
-    if beta == 2:
-        parts = g.standard_normal(shape + (2,))
-        return parts[..., 0] + 1j * parts[..., 1]
-    return g.standard_normal(shape + (4,))
+def _gauss(beta: int, shape: tuple, rng: RngState) -> np.ndarray:
+    """Standard Gaussian matrices over the field, shape (..., rows, cols)."""
+    return field.from_components(beta, rng.generator.standard_normal(shape + (beta,)))
 
 
 @dataclass(frozen=True)
@@ -122,19 +107,14 @@ class WishartSample:
     matrix: np.ndarray = dc_field(repr=False)
 
     def real_diagonal(self) -> np.ndarray:
-        if self.beta == 4:
-            return np.ascontiguousarray(
-                self.matrix[np.arange(self.dim), np.arange(self.dim), 0]
-            )
-        return np.real(np.diagonal(self.matrix)).copy()
+        return np.diagonal(field.real_part(self.beta, self.matrix)).copy()
 
 
 def wishart_direct(beta: int, dim: int, dof: int, rng: RngState) -> WishartSample:
     """Wishart sample as X X^dagger / beta with X standard Gaussian dim x dof."""
     _check_beta(beta)
-    _check_positive("dim", dim)
-    _check_positive("dof", dof)
-    x = _gauss_batch(beta, None, dim, dof, rng)
+    dim, dof = positive_int("dim", dim), positive_int("dof", dof)
+    x = _gauss(beta, (dim, dof), rng)
     return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, x) / beta)
 
 
@@ -144,13 +124,9 @@ def _bartlett_mask(beta: int, dim: int, dof: int) -> np.ndarray:
 
     Those are the entries strictly below the diagonal, which takes in every
     entry of the rows past dof; the diagonal and above are 0.  Shaped and
-    typed to multiply a _gauss_batch draw of the same field.
+    typed to multiply a _gauss draw of the same field.
     """
-    mask = np.tri(dim, dof, k=-1) * (1.0 / math.sqrt(beta))
-    if beta == 2:
-        mask = mask.astype(complex)
-    elif beta == 4:
-        mask = mask[..., None]
+    mask = field.real_entries(beta, np.tri(dim, dof, k=-1) * (1.0 / math.sqrt(beta)))
     mask.flags.writeable = False
     return mask
 
@@ -165,21 +141,17 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
     dim x dof Gaussian is drawn first, then the chi-square diagonal.
     """
     idx = np.arange(min(dim, dof))
-    L = _gauss_batch(beta, None, dim, dof, rng)
+    L = _gauss(beta, (dim, dof), rng)
     L *= _bartlett_mask(beta, dim, dof)
     diag = np.sqrt(rng.generator.chisquare(beta * (dof - idx))) * (1.0 / math.sqrt(beta))
-    if beta == 4:
-        L[idx, idx, 0] = diag
-    else:
-        L[idx, idx] = diag
+    field.set_real_diagonal(beta, L, diag)
     return L
 
 
 def wishart_bartlett(beta: int, dim: int, dof: int, rng: RngState) -> WishartSample:
     """Wishart sample via the triangular (Bartlett) factorization."""
     _check_beta(beta)
-    _check_positive("dim", dim)
-    _check_positive("dof", dof)
+    dim, dof = positive_int("dim", dim), positive_int("dof", dof)
     L = _bartlett_factor(beta, dim, dof, rng)
     return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, L))
 
@@ -196,8 +168,12 @@ def _qr_frames(g: np.ndarray) -> np.ndarray:
 
 
 def _stiefel_batch(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
-    """First k columns of size Haar matrices over the field addressed by beta."""
-    g = _gauss_batch(beta, size, dim, k, rng)
+    """First k columns of size Haar matrices over the field addressed by beta.
+    One column is its Gaussian normalized, which is exactly its gauged QR."""
+    g = _gauss(beta, (size, dim, k), rng)
+    if k == 1:
+        norm = np.linalg.norm(g.reshape(size, -1), axis=1)
+        return g / norm.reshape((size,) + (1,) * (g.ndim - 1))
     return field.unembed_complex(beta, _qr_frames(field.embed_complex(beta, g)))
 
 
@@ -211,8 +187,8 @@ def haar_group(beta: int, dim: int, rng: RngState, size: int | None = None) -> n
     quaternion Gaussian and returns the native quaternion layout.
     """
     _check_beta(beta)
-    _check_positive("dim", dim)
-    n = 1 if size is None else _check_positive("size", size)
+    dim = positive_int("dim", dim)
+    n = 1 if size is None else positive_int("size", size)
     batch = _stiefel_batch(beta, dim, dim, n, rng)
     if beta == 1:
         neg = np.linalg.det(batch) < 0
@@ -228,11 +204,11 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
     requested columns, which is what the Monte Carlo paths batch over.
     """
     _check_beta(beta)
-    _check_positive("dim", dim)
-    n_cols = _check_positive("n_cols", n_cols)
+    dim = positive_int("dim", dim)
+    n_cols = positive_int("n_cols", n_cols)
     if n_cols > dim:
         raise ValidationError(f"n_cols {n_cols} exceeds dim {dim}")
-    n = 1 if size is None else _check_positive("size", size)
+    n = 1 if size is None else positive_int("size", size)
     out = _stiefel_batch(beta, dim, n_cols, n, rng)
     return out[0] if size is None else out
 

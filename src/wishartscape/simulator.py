@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SimpleComponent
+from .algebra import SimpleComponent, positive_int
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, gauss_matrix, haar_columns, haar_group
+from .randmat import RngState, haar_columns, haar_group
 from . import field
 
 __all__ = [
@@ -270,10 +270,12 @@ class McLandscape:
 
 _COLLECT = ("loss", "grad", "hessian")
 BATCH_BYTES = 6.0e7
+BATCH_DRAWS = 4096
 
 
-def _auto_batch(beta: int, dim: int, hess_params: int, requested: int) -> int:
-    """Draws per batch, so that a batch peaks below BATCH_BYTES.
+def _auto_batch(beta: int, dim: int, hess_params: int) -> int:
+    """Draws per batch: at most BATCH_DRAWS, and few enough that a batch
+    peaks below BATCH_BYTES.
 
     Measured with tracemalloc, one draw peaks at about 4.5 N x N matrices of
     the QR's complex image (8, 16 or 64 bytes per entry: for beta = 4 the
@@ -283,21 +285,7 @@ def _auto_batch(beta: int, dim: int, hess_params: int, requested: int) -> int:
     """
     image, entry = {1: (8, 8), 2: (16, 16), 4: (64, 32)}[beta]
     draw_bytes = 5 * dim * dim * (image + hess_params * entry)
-    return max(1, min(requested, int(BATCH_BYTES / draw_bytes)))
-
-
-def _sphere_vectors(beta: int, dim: int, size: int, rng: RngState) -> np.ndarray:
-    """Uniform unit vectors; equal in law to a Haar matrix's first column."""
-    v = gauss_matrix(beta, size, dim, rng)
-    norm = np.linalg.norm(v.reshape(size, -1), axis=1)
-    return v / norm.reshape((size,) + (1,) * (v.ndim - 1))
-
-
-def _frame(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
-    """First k columns of size independent Haar matrices, shaped (size, dim, k)."""
-    if k == 1:
-        return _sphere_vectors(beta, dim, size, rng)[:, :, None]
-    return haar_columns(beta, dim, k, rng, size=size)
+    return max(1, min(BATCH_DRAWS, int(BATCH_BYTES / draw_bytes)))
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -306,7 +294,7 @@ def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> 
 
 
 def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
-                 collect=("loss",), batch_size: int = 4096) -> McLandscape:
+                 collect=("loss",)) -> McLandscape:
     """Monte Carlo distributions of loss, gradient and Hessian entries.
 
     Losses come back relative to the floor index * min(o) * tr(rho); only
@@ -318,8 +306,12 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     Re tr(G^dagger [rho~, O~] G J); the Hessian is _hessian_entries, the
     formula hessian_eval uses.  The instance-by-instance route (build_ansatz
     with loss_eval, grad_eval and hessian_eval) stays as the tests' oracle.
-    For the same seed and batch size, adding "hessian" leaves the losses and
-    gradients unchanged.
+
+    The Haar matrices u come from rng's stream.  When gradients or Hessians
+    are collected the frames G come from one child stream, spawned once per
+    call from rng's seed sequence (rng.split(1)) and drawn sample by sample.
+    So no draw depends on how the samples are batched, and adding "hessian"
+    leaves the losses and gradients unchanged.
     """
     collect = tuple(collect)
     for c in collect:
@@ -327,9 +319,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
             raise ValidationError(f"unknown collect key {c!r}; choose from {_COLLECT}")
     if not collect:
         raise ValidationError("collect must name at least one quantity")
-    if int(n_samples) != n_samples or n_samples < 1:
-        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = positive_int("n_samples", n_samples)
     beta, dim = comp.beta, comp.dim
     obs = np.asarray(comp.observable_spectrum)
     rho = np.asarray(comp.input_spectrum)
@@ -348,7 +338,8 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         # [rho~, diag(o)] has entries rho~_ab (o_b - o_a)
         obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
         obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
-    batch = _auto_batch(beta, dim, p if want_hess else 0, batch_size)
+        frame_rng = rng.split(1)[0]
+    batch = _auto_batch(beta, dim, p if want_hess else 0)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None
     hessians = np.empty((n_samples, p, p)) if want_hess else None
@@ -363,8 +354,10 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         if not want_frames:
             return
         rho_t = _conjugate_diag(beta, u, rho)
-        # frames[i]: parameter i's G, shaped (b, dim, k)
-        frames = np.stack([_frame(beta, dim, k, b, rng) for _ in range(p)])
+        # drawn sample-major, so consecutive batches read the frame stream in
+        # sample order; frames[i]: parameter i's G, shaped (b, dim, k)
+        g = haar_columns(beta, dim, k, frame_rng, size=b * p)
+        frames = np.swapaxes(g.reshape((b, p) + g.shape[1:]), 0, 1)
         if want_grad:
             kg = field.matmul(beta, rho_t * obs_gaps, frames)
             entries = field.re_trace_prod(

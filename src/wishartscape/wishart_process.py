@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, spectral_stats
+from .algebra import SectorModel, SimpleComponent, positive_int, spectral_stats
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, _gamma_cdf, _gamma_pdf, wishart_direct
 
@@ -107,10 +107,9 @@ def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
 
 def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.ndarray:
     """(n_samples, n_components) array of per-sector loss draws."""
-    if int(n_samples) != n_samples or n_samples < 1:
-        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
-    out = np.empty((int(n_samples), len(model.components)))
-    for a, (comp, pref, diag) in enumerate(_loss_diagonals(model, int(n_samples), rng)):
+    n_samples = positive_int("n_samples", n_samples)
+    out = np.empty((n_samples, len(model.components)))
+    for a, (comp, pref, diag) in enumerate(_loss_diagonals(model, n_samples, rng)):
         out[:, a] = pref * (diag @ comp.input_spectrum)
     return out
 

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats as sp_stats
 
 from helpers import (
+    component,
     exact_conjugation_variance,
     ks_2samp_critical,
     ks_critical,
@@ -17,9 +18,10 @@ from helpers import (
     qdagger,
     qmatmul,
     quaternion_gram_schmidt,
+    single_model,
     wishart_reference,
 )
-from wishartscape import ValidationError
+from wishartscape import ValidationError, mc_landscape, sample_loss_batch
 from wishartscape import field
 from wishartscape.randmat import (
     _bartlett_mask,
@@ -69,6 +71,27 @@ class TestRngState:
     def test_validation(self):
         with pytest.raises(ValidationError):
             RngState(0).split(0)
+
+
+class TestPositiveCounts:
+    """Every count goes through one check: a whole number >= 1, neither a
+    bool nor a string, else a ValidationError that names the argument."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, 2.5, "3", 0])
+    def test_bad_count_is_refused_by_name(self, bad):
+        comp = component(beta=2, dim=4)
+        calls = [
+            ("n", lambda: RngState(0).split(bad)),
+            ("dim", lambda: haar_group(2, bad, RngState(0))),
+            ("size", lambda: haar_group(2, 3, RngState(0), size=bad)),
+            ("n_cols", lambda: haar_columns(2, 4, bad, RngState(0))),
+            ("dof", lambda: wishart_bartlett(2, 3, bad, RngState(0))),
+            ("n_samples", lambda: mc_landscape(comp, bad, RngState(0))),
+            ("n_samples", lambda: sample_loss_batch(single_model(comp), bad, RngState(0))),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValidationError, match=f"^{name} must be a positive integer"):
+                call()
 
 
 class TestGauss:
@@ -263,6 +286,20 @@ class TestHaar:
         else:
             gram = cols.conj().T @ cols
             np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_one_column_is_gauged_qr_of_its_gaussian(self, beta):
+        # one column is the Gaussian column normalized, which is exactly the
+        # positive-diagonal QR of that column (Mezzadri 2007)
+        dim, n = 7, 50
+        cols = haar_columns(beta, dim, 1, RngState(90 + beta), size=n)
+        assert cols.shape == (n, dim, 1) + ((4,) if beta == 4 else ())
+        np.testing.assert_allclose(np.sum(field.abs2(beta, cols), axis=(1, 2)), 1.0,
+                                   rtol=1e-15)
+        parts = RngState(90 + beta).generator.standard_normal((n, dim, 1, beta))
+        g = field.from_components(beta, parts)
+        qr = field.unembed_complex(beta, _qr_frames(field.embed_complex(beta, g)))
+        np.testing.assert_allclose(cols, qr, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_haar_columns_match_group_slice(self, beta):

@@ -1,6 +1,7 @@
 """Exact circuit simulator: analytic derivatives vs finite differences, and
 the batched sampling reduction vs the instance-by-instance route."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,8 @@ from wishartscape import (
     spectrum_from_pauli,
 )
 from wishartscape import field
-from wishartscape.randmat import haar_group
+from wishartscape import simulator
+from wishartscape.randmat import haar_columns, haar_group
 from wishartscape.simulator import (
     BATCH_BYTES,
     GRAD_FD_STEP,
@@ -38,8 +40,6 @@ from wishartscape.simulator import (
     AnsatzInstance,
     _auto_batch,
     _exp_generator,
-    _frame,
-    _sphere_vectors,
     canonical_generator,
 )
 
@@ -216,12 +216,6 @@ class TestMcLandscape:
             mean_expect, abs=5.0 * np.sqrt(var / n))
         assert mc.losses.var() == pytest.approx(var, rel=0.08)
 
-    @pytest.mark.parametrize("beta", [2, 4])
-    def test_sphere_vectors_are_unit_columns(self, beta):
-        v = _sphere_vectors(beta, 5, 7, rng(43))
-        assert v.shape == ((7, 5) if beta == 2 else (7, 5, 4))
-        np.testing.assert_allclose(np.sum(field.abs2(beta, v), axis=1), 1.0, rtol=1e-14)
-
     def test_flat_observable_losses_vanish(self):
         comp = component(beta=2, dim=6, obs=np.full(6, 1.3))
         mc = mc_landscape(comp, 50, rng(42))
@@ -258,10 +252,11 @@ class TestMcLandscape:
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
     def test_batched_derivatives_match_instance_formulas(self, beta, rho):
-        # the same frames through both formulas: redraw the batch's Haar
-        # matrix u and parameter frames G from the same stream, then hand
-        # grad_eval and hessian_eval the circuit with O~ = diag(o),
-        # rho~ = u diag(rho) u^dagger and conjugated generators G J G^dagger
+        # the same frames through both formulas: redraw the Haar matrices u
+        # from the stream and the parameter frames G, sample by sample, from
+        # its one child stream, then hand grad_eval and hessian_eval the
+        # circuit with O~ = diag(o), rho~ = u diag(rho) u^dagger and
+        # conjugated generators G J G^dagger
         spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2, 0, 0, 0],
                    "full": np.arange(1.0, 7.0) / 21.0}
         comp = component(beta=beta, dim=6, rho=spectra[rho], index=1.5, params=3)
@@ -270,11 +265,11 @@ class TestMcLandscape:
         r = rng(61)
         u = haar_group(beta, 6, r, size=n)
         blocks = [field.generator_block(beta, i) for i in range(3)]
-        frames = [_frame(beta, 6, j.shape[0], n, r) for j in blocks]
+        frames = haar_columns(beta, 6, blocks[0].shape[0], r.split(1)[0], size=3 * n)
         ident = field.eye(beta, 6)
         for s in range(n):
-            gens = tuple(field.matmul(beta, field.matmul(beta, g[s], j), field.adjoint(beta, g[s]))
-                         for g, j in zip(frames, blocks))
+            gens = tuple(field.matmul(beta, field.matmul(beta, g, j), field.adjoint(beta, g))
+                         for g, j in zip(frames[3 * s:3 * s + 3], blocks))
             inst = AnsatzInstance(component=comp, generators=gens, conjugators=(ident,) * 3,
                                   state_frame=ident, observable_frame=u[s])
             np.testing.assert_allclose(mc.gradients[s], grad_eval(inst), rtol=0, atol=1e-15)
@@ -307,10 +302,10 @@ class TestMcLandscape:
         # if they outlived it into the next batch's draws
         comp = component(beta=beta, dim=dim, rho=[0.5, 0.3, 0.2] + [0.0] * (dim - 3),
                          params=params)
-        batch = _auto_batch(beta, dim, params if "hessian" in collect else 0, 10**9)
+        batch = _auto_batch(beta, dim, params if "hessian" in collect else 0)
         tracemalloc.start()
         try:
-            mc_landscape(comp, 2 * batch + 1, rng(60), collect=collect, batch_size=10**9)
+            mc_landscape(comp, 2 * batch + 1, rng(60), collect=collect)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,11 +327,31 @@ class TestMcLandscape:
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.gradients, b.gradients)
 
-    def test_small_batch_covers_all_samples(self):
+    def test_small_batch_covers_all_samples(self, monkeypatch):
+        monkeypatch.setattr(simulator, "BATCH_DRAWS", 3)
         comp = component(beta=2, dim=4)
-        mc = mc_landscape(comp, 10, rng(55), batch_size=3)
+        mc = mc_landscape(comp, 10, rng(55))
         assert mc.losses.shape == (10,)
         assert np.all(np.isfinite(mc.losses))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("rho", ["pure", "rank3"])
+    def test_draws_independent_of_batching(self, beta, rho, monkeypatch):
+        # every collect set gives the same bits whether the 53 draws come in
+        # one batch or in batches of 20, 7 or 1
+        spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2, 0, 0, 0]}
+        comp = component(beta=beta, dim=6, rho=spectra[rho], params=3)
+        collects = [c for n in (1, 2, 3) for c in itertools.combinations(
+            ("loss", "grad", "hessian"), n)]
+        for collect in collects:
+            runs = []
+            for cap in (53, 20, 7, 1):
+                monkeypatch.setattr(simulator, "BATCH_DRAWS", cap)
+                mc = mc_landscape(comp, 53, rng(62), collect=collect)
+                runs.append([getattr(mc, a) for a in ("losses", "gradients", "hessians")])
+            for run in runs[1:]:
+                for a, b in zip(runs[0], run):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes(), collect
 
     def test_validation(self):
         comp = component(beta=2, dim=4, params=0)
