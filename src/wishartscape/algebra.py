@@ -153,7 +153,7 @@ class SimpleComponent:
     def beta(self) -> int:
         return self.field.beta
 
-    @property
+    @cached_property
     def input_trace(self) -> float:
         """Defining-representation trace of the input state restriction."""
         return float(np.sum(self.input_spectrum))
@@ -231,6 +231,15 @@ def spectral_stats(spectrum, *, shift: bool = True) -> SpectralStats:
             return spectrum._shifted_stats
         spectrum = spectrum.observable_spectrum
     return _summarize(spectrum, shift=shift)
+
+
+def _sector_law(comp: SimpleComponent, *, shift: bool = True) -> tuple[float, float]:
+    """(mean, beta_dof): the mean loss I * obar * tr(rho) and beta * r, with r
+    the exact degrees of freedom, of the sector's Wishart law.  Every closed
+    form and surrogate reads its gamma shape beta_dof / 2, its scale
+    mean * 2 / beta_dof and its parameter ratio p / beta_dof from here."""
+    st = spectral_stats(comp, shift=shift)
+    return comp.index * st.mean_eig * comp.input_trace, comp.beta * st.dof_real
 
 
 def _summarize(spectrum, *, shift: bool) -> SpectralStats:

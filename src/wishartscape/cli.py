@@ -7,7 +7,8 @@ Subcommands:
     minima        tabulate the minima-value density
     trainability  scaling verdict across a family of model sizes
 
-Exit codes: 0 success, 1 invalid input, 2 work budget refused.
+Exit codes: 0 success, 1 invalid input, 2 work refused (over the budget or
+out of memory).
 All CSV floats carry 17 significant digits so replays are byte-identical.
 """
 
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, spectral_stats
+from . import field
+from .algebra import SectorModel, _checked, _sector_law, spectral_stats
 from .errors import (
     BudgetExceededError,
     UndefinedRegimeError,
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .kstest import ks_1samp, ks_2samp
 from .landscape import (
-    _sector_scale,
     build_minima_density,
     gp_conditions,
     kac_rice_log_density,
@@ -140,7 +141,15 @@ def _g(x: float) -> str:
     return f"{float(x):.6g}"
 
 
+def _exponent_flag(args) -> None:
+    # NaN would pass as "not below the boundary" and flip the verdicts
+    _checked("--threshold-variance-exponent", args.threshold_variance_exponent,
+             lambda v: v >= 0, "a number >= 0")
+
+
 def _cmd_analyze(args) -> int:
+    _exponent_flag(args)
+    _checked("--threshold-cumulant", args.threshold_cumulant, lambda v: v > 0, "a number > 0")
     model = load_model(args.model)
     ratios = overparameterization_ratios(model)
     print(f"model: {args.model}")
@@ -159,7 +168,7 @@ def _cmd_analyze(args) -> int:
         print(f"  parameter ratio: {_g(gamma)} ({_regime(gamma)})")
         if 0.0 < gamma < 1.0:
             print(f"  critical-point log-density per parameter at the sector "
-                  f"mean: {_g(kac_rice_log_density(comp, _sector_scale(comp)))}")
+                  f"mean: {_g(kac_rice_log_density(comp, _sector_law(comp)[0]))}")
         if low_purity_applicable(comp):
             print(f"  low-purity variance ceiling: "
                   f"{_g(low_purity_bound(comp, model.normalization))}")
@@ -221,14 +230,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _single_sector_view(comp: SimpleComponent) -> SectorModel:
-    return SectorModel(
-        components=(comp,),
-        total_params=max(comp.sector_params, 1),
-        normalization=1.0,
-    )
-
-
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.samples < 1:
@@ -236,6 +237,9 @@ def _cmd_simulate(args) -> int:
     # a NaN budget would refuse nothing: every comparison with it is false
     if math.isnan(args.budget) or args.budget <= 0:
         raise ValidationError(f"--budget must be positive, got {args.budget}")
+    # per sample: one N x N Haar matrix and one N x N conjugation, then
+    # O(N^2 k) per parameter for its N x k frame (k the generator block's
+    # size), each in field multiplies of beta^2 real ones
     cost = 0.0
     for comp in model.components:
         if comp.dim > MAX_SIMULATE_DIM:
@@ -243,7 +247,8 @@ def _cmd_simulate(args) -> int:
                 f"sector dimension {comp.dim} exceeds the simulator cap "
                 f"{MAX_SIMULATE_DIM}"
             )
-        cost += float(args.samples) * float(comp.dim) ** 3 * (comp.sector_params + 2)
+        n, k = float(comp.dim), field.generator_block(comp.beta).shape[0]
+        cost += float(args.samples) * comp.beta**2 * n * n * (2 * n + comp.sector_params * k)
     if cost > args.budget:
         raise BudgetExceededError(
             f"estimated cost {cost:.3e} operations exceeds budget {args.budget:.3e}; "
@@ -254,9 +259,10 @@ def _cmd_simulate(args) -> int:
     gof_rows = []
     for a, comp in enumerate(model.components):
         comp_rng, ref_rng, cond_rng = rng.split(3)
-        mc = mc_landscape(comp, args.samples, comp_rng,
-                          collect=("loss", "grad"))
         p = comp.sector_params
+        view = SectorModel((comp,), total_params=max(p, 1))
+        mc = mc_landscape(comp, args.samples, comp_rng,
+                          collect=("loss", "grad") if p else ("loss",))
         header = ["sample_id", "loss"] + [f"grad_{j}" for j in range(p)]
         table = np.column_stack([mc.losses, mc.gradients]) if p else mc.losses[:, None]
         _write_table(out / f"simulate_component_{a}.csv", header,
@@ -268,12 +274,10 @@ def _cmd_simulate(args) -> int:
             ks = ks_1samp(mc.losses, lambda z: loss_cdf_rank1(comp, z))
         else:
             loss_ref = "wishart-two-sample"
-            view = _single_sector_view(comp)
             ref = sample_loss_batch(view, args.samples, ref_rng)[:, 0]
             ks = ks_2samp(mc.losses, ref)
         grad_stat = grad_p = ""
         if p and comp.is_rank_one_input():
-            view = _single_sector_view(comp)
             synth = np.empty((args.samples, p))
             for i in range(args.samples):
                 draw = sample_gradient_given_loss(view, [mc.losses[i]], cond_rng)
@@ -310,6 +314,7 @@ def _cmd_minima(args) -> int:
 
 
 def _cmd_trainability(args) -> int:
+    _exponent_flag(args)
     models = [load_model(path) for path in args.model]
     report = trainability_verdict(
         models, polylog_exponent=args.threshold_variance_exponent)
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (WishartscapeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

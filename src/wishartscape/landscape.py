@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, dim_automorphism, purity, spectral_stats
+from .algebra import (SectorModel, SimpleComponent, _checked, _sector_law, dim_automorphism,
+                      purity, spectral_stats)
 from .errors import (
     NotApplicableError,
     TrendUnfitError,
@@ -38,10 +39,15 @@ __all__ = [
 ]
 
 
-def _component_variance(comp: SimpleComponent) -> float:
+def _covariance(comp: SimpleComponent, overlap: float) -> float:
+    """Loss covariance of the sector between its input and a co-diagonal one
+    whose weights pair with it to `overlap`; at Tr(rho^2) the variance."""
     st = spectral_stats(comp)
-    rho2 = float(np.sum(comp.input_spectrum**2))
-    return comp.index**2 * st.trace_sq * rho2 / dim_automorphism(comp.field, comp.dim)
+    return comp.index**2 * st.trace_sq * overlap / dim_automorphism(comp.field, comp.dim)
+
+
+def _component_variance(comp: SimpleComponent) -> float:
+    return _covariance(comp, float(np.sum(comp.input_spectrum**2)))
 
 
 def loss_variance(model: SectorModel) -> float:
@@ -64,17 +70,7 @@ def loss_variance(model: SectorModel) -> float:
 
 def overparameterization_ratios(model: SectorModel) -> np.ndarray:
     """Per-sector ratio of parameter count to beta * degrees of freedom."""
-    out = np.empty(len(model.components))
-    for a, comp in enumerate(model.components):
-        st = spectral_stats(comp)
-        out[a] = comp.sector_params / (comp.beta * st.dof_real)
-    return out
-
-
-def _sector_scale(comp: SimpleComponent) -> float:
-    """Mean loss of the sector: index * obar * defining input trace."""
-    st = spectral_stats(comp)
-    return comp.index * st.mean_eig * comp.input_trace
+    return np.array([c.sector_params / _sector_law(c)[1] for c in model.components])
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,8 @@ class MinimaDensity:
 
 
 def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float) -> np.ndarray:
-    st = spectral_stats(comp)
-    br = comp.beta * st.dof_real
-    scale_z = _sector_scale(comp) * 2.0 / br
+    mean, br = _sector_law(comp)
+    scale_z = mean * 2.0 / br
     vals = _gamma_pdf(grid, br / 2.0, scale_z)
     # Integrable edge singularity when beta * r < 2: replace the origin node
     # by the average density of the first half-cell so trapezoid mass is kept.
@@ -116,10 +111,9 @@ def _underparameterized_moments(
     gamma factors in the minima law."""
     ratios = overparameterization_ratios(model)
     under = [c for c, g in zip(model.components, ratios) if g < 1.0]
-    means = np.array([_sector_scale(c) for c in under])
-    variances = np.array(
-        [_sector_scale(c) ** 2 * 2.0 / (c.beta * spectral_stats(c).dof_real) for c in under]
-    )
+    laws = [_sector_law(c) for c in under]
+    means = np.array([mean for mean, _ in laws])
+    variances = np.array([mean**2 * 2.0 / beta_dof for mean, beta_dof in laws])
     return under, means, variances
 
 
@@ -189,12 +183,12 @@ def kac_rice_log_density(comp: SimpleComponent, z: float) -> float:
         raise ValidationError(f"z must be a positive float, got {z!r}")
     if comp.sector_params < 1:
         raise ValidationError("kac_rice_log_density needs at least one sector parameter")
-    st = spectral_stats(comp)
-    gamma = comp.sector_params / (comp.beta * st.dof_real)
+    mean, beta_dof = _sector_law(comp)
+    gamma = comp.sector_params / beta_dof
     if gamma >= 1.0:
         return -np.inf
     b = float(max(2, comp.beta))
-    x = z / (_sector_scale(comp))
+    x = z / mean
     value = (
         math.log(math.pi * b / (2.0 * math.sqrt(comp.beta)))
         + (1.0 - x + math.log(x)) / (2.0 * gamma)
@@ -225,8 +219,8 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
     variance_exponent, and the normalized third-cumulant scale
     max_a N^3 I^3 obar^3 tr(rho^3) / r^2 must stay below cumulant_threshold.
     """
-    if variance_exponent < 0 or cumulant_threshold <= 0:
-        raise ValidationError("thresholds must be nonnegative / positive")
+    _checked("variance_exponent", variance_exponent, lambda v: v >= 0, "a number >= 0")
+    _checked("cumulant_threshold", cumulant_threshold, lambda v: v > 0, "a number > 0")
     norm = model.normalization
     variance_term = norm**2 * loss_variance(model)
     n_max = max(c.dim for c in model.components)
@@ -275,9 +269,7 @@ def gp_covariance_diagonal(model: SectorModel, other_inputs) -> float:
             raise ValidationError(
                 "second input spectrum must be nonnegative with the sector dimension"
             )
-        st = spectral_stats(comp)
-        overlap = float(np.dot(comp.input_spectrum, other))
-        total += comp.index**2 * st.trace_sq * overlap / dim_automorphism(comp.field, comp.dim)
+        total += _covariance(comp, float(np.dot(comp.input_spectrum, other)))
     return model.normalization**2 * total
 
 
@@ -313,6 +305,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
     The minima condition additionally requires total_params to reach
     max_a beta_a * r_a at every size.
     """
+    _checked("polylog_exponent", polylog_exponent, lambda v: v >= 0, "a number >= 0")
     models = list(models)
     sizes = np.array([max(c.dim for c in m.components) for m in models], dtype=float)
     distinct = len(set(sizes.tolist()))
@@ -336,11 +329,8 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
         verdict = "vanishing"
     else:
         verdict = "non-vanishing"
-    minima_ok = True
-    for m in models:
-        needed = max(c.beta * spectral_stats(c).dof_real for c in m.components)
-        if m.total_params < needed:
-            minima_ok = False
+    minima_ok = all(m.total_params >= max(_sector_law(c)[1] for c in m.components)
+                    for m in models)
     return TrainabilityReport(
         sizes=sizes,
         variances=variances,

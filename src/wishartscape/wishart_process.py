@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, positive_int, spectral_stats
+from .algebra import SectorModel, SimpleComponent, _sector_law, positive_int, spectral_stats
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, _gamma_cdf, _gamma_pdf, wishart_direct
 
@@ -70,13 +70,6 @@ class ConditionalHessianDraw:
     block_slices: tuple[slice, ...] = ()
 
 
-def _loss_prefactor(comp: SimpleComponent) -> tuple[float, int]:
-    stats = spectral_stats(comp)
-    dof = stats.dof
-    pref = comp.index * stats.mean_eig / dof
-    return pref, dof
-
-
 def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
     """Yields (component, loss prefactor, (n_samples, dim) Wishart diagonals)
     one sector at a time, so a caller can reduce each before the next draw.
@@ -88,8 +81,9 @@ def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
     """
     g = rng.generator
     for comp in model.components:
-        pref, dof = _loss_prefactor(comp)
-        yield comp, pref, g.chisquare(comp.beta * dof, size=(n_samples, comp.dim)) / comp.beta
+        st = spectral_stats(comp)
+        yield (comp, comp.index * st.mean_eig / st.dof,
+               g.chisquare(comp.beta * st.dof, size=(n_samples, comp.dim)) / comp.beta)
 
 
 def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
@@ -121,10 +115,8 @@ def rank1_gamma_params(comp: SimpleComponent, *, shift: bool = True) -> tuple[fl
             "closed-form loss density requires a rank-one input restriction; "
             "use the exact simulator for mixed inputs"
         )
-    stats = spectral_stats(comp, shift=shift)
-    k = comp.beta * stats.dof_real / 2.0
-    scale = 2.0 * comp.index * stats.mean_eig * comp.input_trace / (comp.beta * stats.dof_real)
-    return k, scale
+    mean, beta_dof = _sector_law(comp, shift=shift)
+    return beta_dof / 2.0, mean * 2.0 / beta_dof
 
 
 def loss_pdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarray:
@@ -153,6 +145,11 @@ def _check_z_values(model: SectorModel, z_values) -> np.ndarray:
     return z
 
 
+def _amplitude(comp: SimpleComponent, st) -> float:
+    """2 I sigma tr(rho): the gradient law divides it by N, the Hessian by N^2."""
+    return 2.0 * comp.index * st.std_eig * comp.input_trace
+
+
 def _gradient_scales(model: SectorModel, z: np.ndarray) -> np.ndarray:
     """Per-sector scale s with Var[entry] = s^2 max(2, beta) given the loss z.
 
@@ -166,7 +163,7 @@ def _gradient_scales(model: SectorModel, z: np.ndarray) -> np.ndarray:
     scales = np.empty(len(model.components))
     for a, comp in enumerate(model.components):
         st = spectral_stats(comp)
-        amp = 2.0 * comp.index * st.std_eig * comp.input_trace / comp.dim
+        amp = _amplitude(comp, st) / comp.dim
         scales[a] = amp * np.sqrt(z[a] / (comp.beta**2 * comp.index * st.mean_eig))
     return scales
 
@@ -210,11 +207,6 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
     )
 
 
-def _hessian_wishart_dof(comp: SimpleComponent) -> int:
-    st = spectral_stats(comp)
-    return max(1, int(np.rint(comp.beta * st.dof_real)))
-
-
 def sample_hessian_at_critical(model: SectorModel, z_values,
                                rng: RngState) -> ConditionalHessianDraw:
     """Hessian draw at a critical point, conditioned on per-sector losses.
@@ -245,12 +237,12 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
             wisharts.append(np.zeros((0, 0)))
             continue
         st = spectral_stats(comp)
-        amp = 2.0 * comp.index * st.std_eig * comp.input_trace / comp.dim**2
+        amp = _amplitude(comp, st) / comp.dim**2
         pref = amp * np.sqrt(z[a] / (comp.beta * comp.index * st.mean_eig))
         b = max(2, comp.beta)
         gauss = g.standard_normal(pa)
         chi = np.sqrt(g.chisquare(b, size=pa))
-        w = wishart_direct(1, pa, _hessian_wishart_dof(comp), rng).matrix
+        w = wishart_direct(1, pa, max(1, int(np.rint(_sector_law(comp)[1]))), rng).matrix
         lower = pref * np.outer(gauss, chi) * w
         block_mat = np.tril(lower) + np.tril(lower, -1).T
         matrix[block, block] = block_mat
@@ -283,6 +275,6 @@ def regularized_hessian_sample(comp: SimpleComponent, rng: RngState) -> np.ndarr
     g = rng.generator
     b = max(2, comp.beta)
     sigma = g.chisquare(b, size=pa)
-    w = wishart_direct(1, pa, _hessian_wishart_dof(comp), rng).matrix
+    w = wishart_direct(1, pa, max(1, int(np.rint(_sector_law(comp)[1]))), rng).matrix
     root = np.sqrt(sigma)
     return (root[:, None] * w * root[None, :]) / comp.dim

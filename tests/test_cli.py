@@ -24,6 +24,7 @@ from wishartscape import (
 from wishartscape.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -239,6 +240,13 @@ class TestSample:
                      str(tmp_path), "--samples", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unallocatable_count_is_refused(self, rank1_model, tmp_path, capsys):
+        # the first array, 10^17 floats, is beyond any address space, so the
+        # allocation fails at once; it used to escape as a traceback
+        assert main(["sample", "--model", str(rank1_model), "--out",
+                     str(tmp_path), "--samples", str(10**17)]) == 2
+        assert "error: out of memory" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_rank1_gof(self, rank1_model, tmp_path, capsys):
@@ -275,6 +283,29 @@ class TestSimulate:
         gof = read_rows(out / "gof.csv")
         assert gof[1][1] == "wishart-two-sample"
         assert gof[1][4] == "" and gof[1][5] == ""
+
+    def test_zero_parameter_sector_writes_losses_only(self, tmp_path):
+        doc = json.loads(write_model(tmp_path / "one.json", params=2).read_text())
+        idle = dict(doc["components"][0], field="R", dim=5, sector_params=0,
+                    observable_spectrum=[0.0, 0.5, 1.0, 2.0, 3.0])
+        doc["components"].append(idle)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", str(path), "--out", str(out),
+                     "--samples", "20"]) == 0
+        assert read_rows(out / "simulate_component_0.csv")[0] == \
+            ["sample_id", "loss", "grad_0", "grad_1"]
+        idle_rows = read_rows(out / "simulate_component_1.csv")
+        assert idle_rows[0] == ["sample_id", "loss"] and len(idle_rows) == 21
+        assert read_rows(out / "gof.csv")[2][4:] == ["", ""]
+
+    def test_budget_counts_one_haar_matrix_per_sample(self, tmp_path, capsys):
+        # C, N = 64, p = 60: 10 * 4 * 64^2 * (2 * 64 + 60) = 3.1e7 operations.
+        # The former count of p + 2 Haar matrices, 10 * 64^3 * 62 = 1.6e8,
+        # refused this run
+        assert main(["simulate", "--model", str(DEMO_MODELS / "rank1_complex.json"),
+                     "--out", str(tmp_path), "--samples", "10", "--budget", "1e8"]) == 0
 
     def test_budget_refused(self, rank1_model, tmp_path, capsys):
         assert main(["simulate", "--model", str(rank1_model), "--out",
@@ -365,6 +396,22 @@ class TestTrainability:
         p = str(write_model(tmp_path / "m.json"))
         assert main(["trainability", "--model", p, p, p]) == 1
         assert "got 1 distinct among 3 models" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["analyze", "trainability"])
+def test_threshold_flag_refused(command, value, tmp_path, capsys):
+    # a NaN exponent used to flip the trainability verdict to "trainable: yes"
+    paths = [str(write_model(tmp_path / f"m{n}.json", dim=n)) for n in (8, 16, 32)]
+    models = paths[:1] if command == "analyze" else paths
+    assert main([command, "--model", *models,
+                 f"--threshold-variance-exponent={value}"]) == 1
+    assert "--threshold-variance-exponent must be" in capsys.readouterr().err
+
+
+def test_cumulant_flag_refuses_nan(rank1_model, capsys):
+    assert main(["analyze", "--model", str(rank1_model), "--threshold-cumulant", "nan"]) == 1
+    assert "--threshold-cumulant must be" in capsys.readouterr().err
 
 
 class TestColdStart:

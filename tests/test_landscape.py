@@ -261,6 +261,20 @@ class TestGPConditions:
         with pytest.raises(ValidationError):
             gp_conditions(single_model(component(dim=4)), cumulant_threshold=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"variance_exponent": math.nan},
+                                        {"variance_exponent": -0.5},
+                                        {"cumulant_threshold": math.nan}])
+    def test_nan_and_negative_thresholds_refused(self, kwargs):
+        # every comparison with NaN is false, so a NaN threshold used to
+        # pass the check and report "fail"
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            gp_conditions(single_model(component(dim=4)), **kwargs)
+
+    def test_infinite_thresholds_allowed(self):
+        rep = gp_conditions(single_model(component(dim=4)), variance_exponent=math.inf,
+                            cumulant_threshold=math.inf)
+        assert rep.variance_floor == 0.0 and rep.cumulant_ok
+
 
 class TestGPCovariance:
     def test_same_input_reproduces_variance(self):
@@ -346,6 +360,12 @@ class TestTrainability:
         assert rep.variance_verdict == "non-vanishing"
         assert not rep.minima_ok
         assert not rep.trainable
+
+    @pytest.mark.parametrize("exponent", [math.nan, -1.0])
+    def test_exponent_must_be_nonnegative(self, exponent):
+        # a NaN exponent used to give "non-vanishing" for any slope
+        with pytest.raises(ValidationError, match="polylog_exponent"):
+            trainability_verdict(family([4, 16, 64]), polylog_exponent=exponent)
 
     def test_needs_three_distinct_sizes(self):
         models = family([8, 8, 8])
