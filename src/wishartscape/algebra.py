@@ -163,7 +163,8 @@ class SimpleComponent:
         return purity(self.input_spectrum)
 
     def is_rank_one_input(self) -> bool:
-        return int(np.count_nonzero(self.input_spectrum)) == 1
+        # sorted descending with positive trace: rank one iff the second weight is 0
+        return self.dim == 1 or not self.input_spectrum[1]
 
     @cached_property
     def _shifted_stats(self) -> "SpectralStats":

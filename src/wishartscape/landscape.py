@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (SectorModel, SimpleComponent, _checked, _sector_law, dim_automorphism,
-                      purity, spectral_stats)
+                      positive_int, purity, spectral_stats)
 from .errors import (
     NotApplicableError,
     TrendUnfitError,
@@ -125,6 +125,7 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     must land within one part in a thousand of unity or an ArithmeticError is
     raised: mass loss would silently skew every downstream quantile.
     """
+    n_grid = positive_int("n_grid", n_grid)
     if n_grid < 16:
         raise ValidationError(f"n_grid too small: {n_grid!r}")
     under, scales, variances = _underparameterized_moments(model)
@@ -357,7 +358,10 @@ def low_purity_bound(comp: SimpleComponent, normalization: float = 1.0) -> float
     Applies only when the input purity is at most dim^-0.999; outside that
     regime raises NotApplicableError.  The bound is the closed-form variance
     inflated by the square of the chunk count ceil(N / floor(N^0.999)).
+    normalization must be finite and positive, as in SectorModel.
     """
+    _checked("normalization", normalization, lambda v: np.isfinite(v) and v > 0,
+             "a positive float")
     if not low_purity_applicable(comp):
         raise NotApplicableError(
             f"input purity {purity(comp.input_spectrum):.3e} exceeds "

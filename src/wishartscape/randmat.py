@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import positive_int
+from .algebra import _checked, positive_int
 from .errors import ValidationError
 from . import field
 
@@ -59,7 +59,9 @@ class RngState:
 
     Wraps numpy's SeedSequence/PCG64 machinery: the same seed always yields
     the same stream, and split() derives independent child streams whose
-    draws do not interact with the parent's.
+    draws do not interact with the parent's.  A seed is a nonnegative
+    integer; anything else (a negative or fractional number, a bool, a
+    string) raises ValidationError.
     """
 
     def __init__(self, seed):
@@ -68,7 +70,8 @@ class RngState:
         elif isinstance(seed, np.random.SeedSequence):
             self._seq = seed
         else:
-            self._seq = np.random.SeedSequence(int(seed))
+            self._seq = np.random.SeedSequence(int(_checked(
+                "seed", seed, lambda v: int(v) == v >= 0, "a nonnegative integer")))
         self._generator = np.random.Generator(np.random.PCG64(self._seq))
 
     @property
@@ -114,8 +117,15 @@ def wishart_direct(beta: int, dim: int, dof: int, rng: RngState) -> WishartSampl
     """Wishart sample as X X^dagger / beta with X standard Gaussian dim x dof."""
     _check_beta(beta)
     dim, dof = positive_int("dim", dim), positive_int("dof", dof)
-    x = _gauss(beta, (dim, dof), rng)
-    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, x) / beta)
+    return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_wishart(beta, dim, dof, rng))
+
+
+def _wishart(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray:
+    """wishart_direct's matrix for arguments already checked; the surrogate
+    samplers draw their per-sector Wishart here.  Over R the division by
+    beta = 1 would change no bit, so it is skipped."""
+    w = field.gram(beta, _gauss(beta, (dim, dof), rng))
+    return w if beta == 1 else w / beta
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,13 +148,15 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
     diagonal; when dim > dof the remaining rows are fully Gaussian.  Each
     off-diagonal real component is N(0, 1/beta) and the diagonal is
     chi(beta * (dof - i)) / sqrt(beta) for row i (0-indexed).  The full
-    dim x dof Gaussian is drawn first, then the chi-square diagonal.
+    dim x dof Gaussian is drawn first, then the chi-square diagonal, one
+    scalar call per row: the same draws as one call on the array of degrees
+    of freedom, without its broadcasting cost.
     """
-    idx = np.arange(min(dim, dof))
     L = _gauss(beta, (dim, dof), rng)
     L *= _bartlett_mask(beta, dim, dof)
-    diag = np.sqrt(rng.generator.chisquare(beta * (dof - idx))) * (1.0 / math.sqrt(beta))
-    field.set_real_diagonal(beta, L, diag)
+    chisquare, scale = rng.generator.chisquare, 1.0 / math.sqrt(beta)
+    field.set_real_diagonal(beta, L, [math.sqrt(chisquare(beta * (dof - i))) * scale
+                                      for i in range(min(dim, dof))])
     return L
 
 

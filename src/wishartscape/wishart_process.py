@@ -13,13 +13,15 @@ the same rounded integer so the sampled mean is exact against its own draw.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .algebra import SectorModel, SimpleComponent, _sector_law, positive_int, spectral_stats
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, _gamma_cdf, _gamma_pdf, wishart_direct
+from .randmat import RngState, _gamma_cdf, _gamma_pdf, _wishart
 
 __all__ = [
     "LossDraw",
@@ -140,7 +142,7 @@ def _check_z_values(model: SectorModel, z_values) -> np.ndarray:
         raise ValidationError(
             f"need one loss value per component ({len(model.components)}), got {z.size}"
         )
-    if np.any(z < 0.0) or not np.all(np.isfinite(z)):
+    if not all(0.0 <= v < math.inf for v in z.tolist()):  # NaN fails too
         raise ValidationError("conditioned loss values must be finite and nonnegative")
     return z
 
@@ -164,7 +166,7 @@ def _gradient_scales(model: SectorModel, z: np.ndarray) -> np.ndarray:
     for a, comp in enumerate(model.components):
         st = spectral_stats(comp)
         amp = _amplitude(comp, st) / comp.dim
-        scales[a] = amp * np.sqrt(z[a] / (comp.beta**2 * comp.index * st.mean_eig))
+        scales[a] = amp * math.sqrt(z[a] / (comp.beta**2 * comp.index * st.mean_eig))
     return scales
 
 
@@ -207,6 +209,14 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_mask(n: int) -> np.ndarray:
+    """Read-only n x n boolean mask of the diagonal and below."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def sample_hessian_at_critical(model: SectorModel, z_values,
                                rng: RngState) -> ConditionalHessianDraw:
     """Hessian draw at a critical point, conditioned on per-sector losses.
@@ -238,14 +248,14 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
             continue
         st = spectral_stats(comp)
         amp = _amplitude(comp, st) / comp.dim**2
-        pref = amp * np.sqrt(z[a] / (comp.beta * comp.index * st.mean_eig))
+        pref = amp * math.sqrt(z[a] / (comp.beta * comp.index * st.mean_eig))
         b = max(2, comp.beta)
         gauss = g.standard_normal(pa)
         chi = np.sqrt(g.chisquare(b, size=pa))
-        w = wishart_direct(1, pa, max(1, int(np.rint(_sector_law(comp)[1]))), rng).matrix
-        lower = pref * np.outer(gauss, chi) * w
-        block_mat = np.tril(lower) + np.tril(lower, -1).T
-        matrix[block, block] = block_mat
+        w = _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)
+        lower = pref * (gauss[:, None] * chi) * w
+        # the lower triangle mirrored; + 0.0 turns the -0.0 entries of z = 0 into +0.0
+        np.add(np.where(_lower_mask(pa), lower, lower.T), 0.0, out=matrix[block, block])
         gaussians.append(gauss)
         chis.append(chi)
         wisharts.append(w)
@@ -275,6 +285,6 @@ def regularized_hessian_sample(comp: SimpleComponent, rng: RngState) -> np.ndarr
     g = rng.generator
     b = max(2, comp.beta)
     sigma = g.chisquare(b, size=pa)
-    w = wishart_direct(1, pa, max(1, int(np.rint(_sector_law(comp)[1]))), rng).matrix
+    w = _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)
     root = np.sqrt(sigma)
     return (root[:, None] * w * root[None, :]) / comp.dim

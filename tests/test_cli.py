@@ -235,6 +235,14 @@ class TestSample:
         assert (out / "gradients.csv").read_text() == "\n".join(grad_lines) + "\n"
         assert (out / "hessians.csv").read_text() == "\n".join(hess_lines) + "\n"
 
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    def test_negative_seed_is_located(self, command, rank1_model, tmp_path, capsys):
+        assert main([command, "--model", str(rank1_model), "--out", str(tmp_path / "out"),
+                     "--samples", "5", "--seed", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: seed must be a nonnegative integer, got -5")
+
     def test_nonpositive_samples(self, rank1_model, tmp_path, capsys):
         assert main(["sample", "--model", str(rank1_model), "--out",
                      str(tmp_path), "--samples", "0"]) == 1

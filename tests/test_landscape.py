@@ -158,6 +158,11 @@ class TestMinimaDensity:
         with pytest.raises(ValidationError):
             build_minima_density(single_model(component(dim=4, params=1)), n_grid=4)
 
+    @pytest.mark.parametrize("bad", ["x", float("nan"), 32.5, True, None])
+    def test_grid_must_be_a_count(self, bad):
+        with pytest.raises(ValidationError, match="^n_grid must be a positive integer"):
+            build_minima_density(single_model(component(dim=4, params=1)), n_grid=bad)
+
 
 class TestWelchSatterthwaite:
     def test_single_sector_exact(self):
@@ -425,3 +430,11 @@ class TestLowPurity:
     def test_not_applicable_raises(self):
         with pytest.raises(NotApplicableError):
             low_purity_bound(component(beta=2, dim=16))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.0, 0.0, "1", True])
+    def test_normalization_checked_as_in_sector_model(self, bad):
+        comp = component(beta=2, dim=16, rho=np.full(16, 1.0 / 16.0))
+        with pytest.raises(ValidationError, match="^normalization must be a positive float"):
+            low_purity_bound(comp, bad)
+        with pytest.raises(ValidationError, match="^normalization must be a positive float"):
+            single_model(comp, normalization=bad)

@@ -72,6 +72,16 @@ class TestRngState:
         with pytest.raises(ValidationError):
             RngState(0).split(0)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "x", float("nan"), float("inf"), None])
+    def test_bad_seed_is_refused_by_name(self, bad):
+        with pytest.raises(ValidationError, match="^seed must be a nonnegative integer"):
+            RngState(bad)
+
+    def test_whole_number_seeds_of_any_type(self):
+        a = RngState(np.int64(3)).generator.standard_normal(4)
+        np.testing.assert_array_equal(a, RngState(3).generator.standard_normal(4))
+        np.testing.assert_array_equal(a, RngState(3.0).generator.standard_normal(4))
+
 
 class TestPositiveCounts:
     """Every count goes through one check: a whole number >= 1, neither a
