@@ -7,165 +7,18 @@ the loss/gradient/Hessian laws, an exact circuit Monte Carlo for validation,
 and a small CLI.
 """
 
-from .algebra import (
-    FIELD_C,
-    FIELD_H,
-    FIELD_R,
-    FieldTag,
-    SectorModel,
-    SimpleComponent,
-    SpectralStats,
-    beta_of,
-    dim_automorphism,
-    field_from_symbol,
-    index_constant,
-    project_into_component,
-    purity,
-    spectral_stats,
-    spin_factor_reduce,
-)
-from .errors import (
-    BasisValidationError,
-    BudgetExceededError,
-    DegenerateElementError,
-    DegenerateObservableError,
-    ModelFormatError,
-    NotApplicableError,
-    TrendUnfitError,
-    UndefinedRegimeError,
-    UnsupportedConfigurationError,
-    ValidationError,
-    WishartscapeError,
-)
-from .landscape import (
-    GPReport,
-    MinimaDensity,
-    TrainabilityReport,
-    build_minima_density,
-    gp_conditions,
-    gp_covariance_diagonal,
-    kac_rice_log_density,
-    loss_variance,
-    low_purity_applicable,
-    low_purity_bound,
-    overparameterization_ratios,
-    trainability_verdict,
-    welch_satterthwaite,
-)
-from .model_io import load_model, model_from_dict
-from .randmat import (
-    RngState,
-    gauss_matrix,
-    haar_columns,
-    haar_group,
-    marchenko_pastur_atom,
-    marchenko_pastur_pdf,
-    marchenko_pastur_support,
-    mp_log_moment,
-    wishart_bartlett,
-    wishart_direct,
-)
-from .simulator import (
-    AnsatzInstance,
-    EmpiricalDistribution,
-    McLandscape,
-    build_ansatz,
-    fd_gradient,
-    fd_hessian,
-    grad_eval,
-    hessian_eval,
-    loss_eval,
-    mc_landscape,
-    spectrum_from_pauli,
-)
-from .wishart_process import (
-    ConditionalGradientDraw,
-    ConditionalHessianDraw,
-    LossDraw,
-    loss_cdf_rank1,
-    loss_pdf_rank1,
-    rank1_gamma_params,
-    regularized_hessian_sample,
-    sample_gradient_given_loss,
-    sample_hessian_at_critical,
-    sample_loss,
-    sample_loss_batch,
-)
+from . import algebra, errors, landscape, model_io, randmat, simulator, wishart_process
+from .algebra import *
+from .errors import *
+from .landscape import *
+from .model_io import *
+from .randmat import *
+from .simulator import *
+from .wishart_process import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnsatzInstance",
-    "BasisValidationError",
-    "BudgetExceededError",
-    "ConditionalGradientDraw",
-    "ConditionalHessianDraw",
-    "DegenerateElementError",
-    "DegenerateObservableError",
-    "EmpiricalDistribution",
-    "FIELD_C",
-    "FIELD_H",
-    "FIELD_R",
-    "FieldTag",
-    "GPReport",
-    "LossDraw",
-    "McLandscape",
-    "MinimaDensity",
-    "ModelFormatError",
-    "NotApplicableError",
-    "RngState",
-    "SectorModel",
-    "SimpleComponent",
-    "SpectralStats",
-    "TrainabilityReport",
-    "TrendUnfitError",
-    "UndefinedRegimeError",
-    "UnsupportedConfigurationError",
-    "ValidationError",
-    "WishartscapeError",
-    "beta_of",
-    "build_ansatz",
-    "build_minima_density",
-    "dim_automorphism",
-    "fd_gradient",
-    "fd_hessian",
-    "field_from_symbol",
-    "gauss_matrix",
-    "gp_conditions",
-    "gp_covariance_diagonal",
-    "grad_eval",
-    "haar_columns",
-    "haar_group",
-    "hessian_eval",
-    "index_constant",
-    "kac_rice_log_density",
-    "load_model",
-    "loss_cdf_rank1",
-    "loss_eval",
-    "loss_pdf_rank1",
-    "loss_variance",
-    "low_purity_applicable",
-    "low_purity_bound",
-    "marchenko_pastur_atom",
-    "marchenko_pastur_pdf",
-    "marchenko_pastur_support",
-    "mc_landscape",
-    "model_from_dict",
-    "mp_log_moment",
-    "overparameterization_ratios",
-    "project_into_component",
-    "purity",
-    "rank1_gamma_params",
-    "regularized_hessian_sample",
-    "sample_gradient_given_loss",
-    "sample_hessian_at_critical",
-    "sample_loss",
-    "sample_loss_batch",
-    "spectral_stats",
-    "spectrum_from_pauli",
-    "spin_factor_reduce",
-    "trainability_verdict",
-    "welch_satterthwaite",
-    "wishart_bartlett",
-    "wishart_direct",
-]
+# each module's __all__ is the one list of its public names
+__all__ = [name for module in (algebra, errors, landscape, model_io, randmat, simulator,
+                               wishart_process)
+           for name in module.__all__]

@@ -26,6 +26,8 @@ from .errors import (
 )
 
 __all__ = [
+    "BETAS",
+    "beta_of",
     "FieldTag",
     "FIELD_R",
     "FIELD_C",
@@ -43,6 +45,39 @@ __all__ = [
 ]
 
 
+BETAS = (1, 2, 4)
+
+
+def _checked(name: str, value, ok, rule: str):
+    """value when ok(value) holds; for anything else, non-numbers included, a
+    ValidationError saying that name must be rule (built only then)."""
+    try:
+        good = not isinstance(value, (str, bool, np.bool_)) and bool(ok(value))
+    except (TypeError, ValueError, OverflowError):
+        good = False
+    if not good:
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int when it is a whole number >= 1, by _checked's rule."""
+    if type(value) is int and value >= 1:  # plain ints, the common case, skip the rule
+        return value
+    return int(_checked(name, value, lambda v: int(v) == v >= 1, "a positive integer"))
+
+
+def beta_of(field) -> int:
+    """beta of a FieldTag, or of 1, 2 or 4 given as a number, as an int; for
+    anything else, by _checked's rule, a ValidationError naming beta."""
+    if type(field) is int and field in BETAS:  # plain ints, the common case, skip the rule
+        return field
+    if isinstance(field, FieldTag):
+        return field.beta
+    return int(_checked("beta", field, lambda v: v in BETAS and int(v) == v,
+                        "1, 2 or 4 or a FieldTag"))
+
+
 @dataclass(frozen=True)
 class FieldTag:
     """Which division algebra a sector is built over; beta in {1, 2, 4}."""
@@ -50,8 +85,7 @@ class FieldTag:
     beta: int
 
     def __post_init__(self):
-        if self.beta not in (1, 2, 4):
-            raise ValidationError(f"beta must be 1, 2 or 4, got {self.beta!r}")
+        object.__setattr__(self, "beta", beta_of(self.beta))
 
     @property
     def symbol(self) -> str:
@@ -76,25 +110,6 @@ def field_from_symbol(symbol: str) -> FieldTag:
     return _SYMBOLS[symbol]
 
 
-def _checked(name: str, value, ok, rule: str):
-    """value when ok(value) holds; for anything else, non-numbers included, a
-    ValidationError saying that name must be rule (built only then)."""
-    try:
-        good = not isinstance(value, (str, bool)) and bool(ok(value))
-    except (TypeError, ValueError, OverflowError):
-        good = False
-    if not good:
-        raise ValidationError(f"{name} must be {rule}, got {value!r}")
-    return value
-
-
-def positive_int(name: str, value) -> int:
-    """value as an int when it is a whole number >= 1, by _checked's rule."""
-    if type(value) is int and value >= 1:  # plain ints, the common case, skip the rule
-        return value
-    return int(_checked(name, value, lambda v: int(v) == v >= 1, "a positive integer"))
-
-
 def _spectrum(name: str, values, dim: int) -> np.ndarray:
     """values flattened to dim finite floats, in the order given."""
     arr = np.asarray(values, dtype=float).ravel()
@@ -104,14 +119,6 @@ def _spectrum(name: str, values, dim: int) -> np.ndarray:
     if bad.size:
         raise ValidationError(f"{name} entry {bad[0]} is {arr[bad[0]]}, not a finite number")
     return arr
-
-
-def beta_of(field) -> int:
-    if isinstance(field, FieldTag):
-        return field.beta
-    if field in (1, 2, 4):
-        return int(field)
-    raise ValidationError(f"expected a FieldTag or beta in {{1,2,4}}, got {field!r}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ class SimpleComponent:
 
     def __post_init__(self):
         if not isinstance(self.field, FieldTag):
-            object.__setattr__(self, "field", FieldTag(beta_of(self.field)))
+            object.__setattr__(self, "field", FieldTag(self.field))
         object.__setattr__(self, "dim", positive_int("dim", self.dim))
         object.__setattr__(self, "index", float(_checked(
             "index", self.index, lambda v: np.isfinite(v) and v >= 1, "a finite number >= 1")))
@@ -278,10 +285,7 @@ def dim_automorphism(field, dim: int) -> int:
     (beta - 1) N + beta N (N - 1) / 2: so(N) for beta=1, u(N)'s N^2 for
     beta=2 and sp(N) for beta=4.
     """
-    beta = beta_of(field)
-    n = int(dim)
-    if n < 1:
-        raise ValidationError(f"dim must be positive, got {dim!r}")
+    beta, n = beta_of(field), positive_int("dim", dim)
     return (beta - 1) * n + beta * (n * (n - 1)) // 2
 
 

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import field
 from .algebra import SectorModel, _checked, _sector_law, spectral_stats
 from .errors import (
     BudgetExceededError,
@@ -43,7 +42,7 @@ from .landscape import (
 )
 from .model_io import load_model
 from .randmat import RngState
-from .simulator import mc_landscape
+from .simulator import _mc_cost, mc_landscape
 from .wishart_process import (
     loss_cdf_rank1,
     sample_gradient_given_loss,
@@ -53,7 +52,6 @@ from .wishart_process import (
 
 __all__ = ["main"]
 
-MAX_SIMULATE_DIM = 256
 DEFAULT_BUDGET = 1e10
 
 _REGIME = {-1: "underparameterized", 0: "critical", 1: "overparameterized"}
@@ -237,18 +235,7 @@ def _cmd_simulate(args) -> int:
     # a NaN budget would refuse nothing: every comparison with it is false
     if math.isnan(args.budget) or args.budget <= 0:
         raise ValidationError(f"--budget must be positive, got {args.budget}")
-    # per sample: one N x N Haar matrix and one N x N conjugation, then
-    # O(N^2 k) per parameter for its N x k frame (k the generator block's
-    # size), each in field multiplies of beta^2 real ones
-    cost = 0.0
-    for comp in model.components:
-        if comp.dim > MAX_SIMULATE_DIM:
-            raise BudgetExceededError(
-                f"sector dimension {comp.dim} exceeds the simulator cap "
-                f"{MAX_SIMULATE_DIM}"
-            )
-        n, k = float(comp.dim), field.generator_block(comp.beta).shape[0]
-        cost += float(args.samples) * comp.beta**2 * n * n * (2 * n + comp.sector_params * k)
+    cost = sum(_mc_cost(comp, args.samples) for comp in model.components)
     if cost > args.budget:
         raise BudgetExceededError(
             f"estimated cost {cost:.3e} operations exceeds budget {args.budget:.3e}; "

@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "WishartscapeError",
+    "ValidationError",
+    "DegenerateObservableError",
+    "DegenerateElementError",
+    "BasisValidationError",
+    "UnsupportedConfigurationError",
+    "UndefinedRegimeError",
+    "NotApplicableError",
+    "TrendUnfitError",
+    "ModelFormatError",
+    "BudgetExceededError",
+]
+
 
 class WishartscapeError(Exception):
     """Base class for all package errors."""

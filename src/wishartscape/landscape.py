@@ -179,9 +179,7 @@ def kac_rice_log_density(comp: SimpleComponent, z: float) -> float:
     (gamma >= 1): minima then concentrate at zero loss and the continuous
     density vanishes.
     """
-    z = float(z)
-    if z <= 0.0 or not np.isfinite(z):
-        raise ValidationError(f"z must be a positive float, got {z!r}")
+    z = float(_checked("z", z, lambda v: math.isfinite(v) and v > 0, "a positive float"))
     if comp.sector_params < 1:
         raise ValidationError("kac_rice_log_density needs at least one sector parameter")
     mean, beta_dof = _sector_law(comp)

@@ -26,13 +26,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import _checked, positive_int
+from .algebra import BETAS, _checked, beta_of, positive_int  # BETAS stays importable here
 from .errors import ValidationError
 from . import field
 
 __all__ = [
     "RngState",
-    "BETAS",
     "gauss_matrix",
     "WishartSample",
     "wishart_direct",
@@ -44,15 +43,6 @@ __all__ = [
     "marchenko_pastur_atom",
     "mp_log_moment",
 ]
-
-BETAS = (1, 2, 4)
-
-
-def _check_beta(beta: int) -> int:
-    if beta not in BETAS:
-        raise ValidationError(f"beta must be one of {BETAS}, got {beta!r}")
-    return int(beta)
-
 
 class RngState:
     """Deterministic random stream with reproducible splitting.
@@ -91,7 +81,7 @@ def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
 
     Every real component of every entry is independent N(0, 1).
     """
-    _check_beta(beta)
+    beta = beta_of(beta)
     return _gauss(beta, (positive_int("rows", rows), positive_int("cols", cols)), rng)
 
 
@@ -115,7 +105,7 @@ class WishartSample:
 
 def wishart_direct(beta: int, dim: int, dof: int, rng: RngState) -> WishartSample:
     """Wishart sample as X X^dagger / beta with X standard Gaussian dim x dof."""
-    _check_beta(beta)
+    beta = beta_of(beta)
     dim, dof = positive_int("dim", dim), positive_int("dof", dof)
     return WishartSample(beta=beta, dim=dim, dof=dof, matrix=_wishart(beta, dim, dof, rng))
 
@@ -162,7 +152,7 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
 
 def wishart_bartlett(beta: int, dim: int, dof: int, rng: RngState) -> WishartSample:
     """Wishart sample via the triangular (Bartlett) factorization."""
-    _check_beta(beta)
+    beta = beta_of(beta)
     dim, dof = positive_int("dim", dim), positive_int("dof", dof)
     L = _bartlett_factor(beta, dim, dof, rng)
     return WishartSample(beta=beta, dim=dim, dof=dof, matrix=field.gram(beta, L))
@@ -198,7 +188,7 @@ def haar_group(beta: int, dim: int, rng: RngState, size: int | None = None) -> n
     determinant is -1.  beta = 4 factors the 2N x 2N complex image of a
     quaternion Gaussian and returns the native quaternion layout.
     """
-    _check_beta(beta)
+    beta = beta_of(beta)
     dim = positive_int("dim", dim)
     n = 1 if size is None else positive_int("size", size)
     batch = _stiefel_batch(beta, dim, dim, n, rng)
@@ -215,7 +205,7 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
     Equal in law to slicing haar_group output but only orthonormalizes the
     requested columns, which is what the Monte Carlo paths batch over.
     """
-    _check_beta(beta)
+    beta = beta_of(beta)
     dim = positive_int("dim", dim)
     n_cols = positive_int("n_cols", n_cols)
     if n_cols > dim:
@@ -229,10 +219,8 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
 # Marchenko-Pastur law for W / dof with aspect ratio gamma = dim / dof.
 
 def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValidationError(f"gamma must be a positive float, got {gamma!r}")
-    return gamma
+    return float(_checked("gamma", gamma, lambda v: math.isfinite(v) and v > 0,
+                          "a positive float"))
 
 
 def marchenko_pastur_support(gamma: float) -> tuple[float, float]:

@@ -10,11 +10,12 @@ commutator traces; finite-difference versions exist for cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SimpleComponent, positive_int
+from .algebra import SimpleComponent, _checked, positive_int
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, haar_columns, haar_group
 from . import field
@@ -136,6 +137,7 @@ def loss_eval(inst: AnsatzInstance, theta) -> float:
         raise ValidationError(
             f"theta must have length {inst.n_params}, got {theta.size}"
         )
+    _checked("theta", theta, lambda v: np.isfinite(v).all(), "finite")
     beta = comp.beta
     rho_t, obs_t = _frames(inst)
     v = field.eye(beta, comp.dim)
@@ -192,8 +194,14 @@ def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
     return comp.index * _hessian_entries(comp.beta, rho_t, obs_t, gens)
 
 
+def _fd_step(step: float) -> float:
+    return float(_checked("step", step, lambda v: math.isfinite(v) and v > 0,
+                          "a positive finite number"))
+
+
 def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
     """Central finite differences of loss_eval around theta = 0."""
+    step = _fd_step(step)
     p = inst.n_params
     out = np.empty(p)
     theta = np.zeros(p)
@@ -209,6 +217,7 @@ def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
 
 def fd_hessian(inst: AnsatzInstance, step: float = HESS_FD_STEP) -> np.ndarray:
     """Nested central differences of loss_eval around theta = 0."""
+    step = _fd_step(step)
     p = inst.n_params
     out = np.empty((p, p))
     theta = np.zeros(p)
@@ -288,6 +297,15 @@ def _auto_batch(beta: int, dim: int, hess_params: int) -> int:
     return max(1, min(BATCH_DRAWS, int(BATCH_BYTES / draw_bytes)))
 
 
+def _mc_cost(comp: SimpleComponent, n_samples: int) -> float:
+    """Operations mc_landscape spends on n_samples draws of the sector, the
+    count a work budget is held to: per sample one N x N Haar matrix and one
+    N x N conjugation, then O(N^2 k) per parameter for its N x k frame (k the
+    generator block's size), each in field multiplies of beta^2 real ones."""
+    n, k = float(comp.dim), field.generator_block(comp.beta).shape[0]
+    return float(n_samples) * comp.beta**2 * n * n * (2 * n + comp.sector_params * k)
+
+
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """index-free losses sum_mu rho_mu (U^dagger O U)_mumu from one Haar batch."""
     return np.einsum("bij,i,j->b", field.abs2(beta, u), obs, rho)
@@ -313,6 +331,9 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     So no draw depends on how the samples are batched, and adding "hessian"
     leaves the losses and gradients unchanged.
     """
+    if isinstance(collect, str):
+        raise ValidationError(
+            f"collect must be a tuple of names, such as ({collect!r},), not a bare string")
     collect = tuple(collect)
     for c in collect:
         if c not in _COLLECT:
@@ -403,6 +424,8 @@ def spectrum_from_pauli(terms) -> np.ndarray:
             raise ValidationError(
                 f"term {t_index} must be a (number, string) pair, got {term!r}"
             ) from None
+        if not math.isfinite(coeff):
+            raise ValidationError(f"term {t_index}: coefficient {coeff} is not a finite number")
         if not isinstance(word, str) or not word:
             raise ValidationError(f"term {t_index}: Pauli word must be a nonempty string")
         if n_qubits is None:
@@ -423,4 +446,6 @@ def spectrum_from_pauli(terms) -> np.ndarray:
                 )
             mat = np.kron(mat, _PAULIS[ch])
         total = coeff * mat if total is None else total + coeff * mat
+    if not np.all(np.isfinite(total)):
+        raise ValidationError("Pauli terms sum to a matrix with non-finite entries")
     return np.linalg.eigvalsh(total)

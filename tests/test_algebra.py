@@ -15,16 +15,23 @@ from wishartscape import (
     DegenerateElementError,
     DegenerateObservableError,
     FieldTag,
+    RngState,
     SectorModel,
+    SimpleComponent,
     ValidationError,
     beta_of,
     dim_automorphism,
     field_from_symbol,
+    gauss_matrix,
+    haar_columns,
+    haar_group,
     index_constant,
     project_into_component,
     purity,
     spectral_stats,
     spin_factor_reduce,
+    wishart_bartlett,
+    wishart_direct,
 )
 
 
@@ -51,6 +58,41 @@ class TestFieldTag:
         assert beta_of(2) == 2
         with pytest.raises(ValidationError):
             beta_of(5)
+
+
+# every entry point that takes a field, reduced to the beta (or the draw) it
+# made of it; each goes through algebra.beta_of
+_BETA_TAKERS = {
+    "FieldTag": lambda b: FieldTag(b).beta,
+    "beta_of": beta_of,
+    "SimpleComponent": lambda b: SimpleComponent(
+        field=b, dim=2, index=1.0, observable_spectrum=[0.0, 1.0],
+        input_spectrum=[1.0, 0.0]).beta,
+    "gauss_matrix": lambda b: gauss_matrix(b, 2, 3, RngState(0)),
+    "wishart_direct": lambda b: wishart_direct(b, 2, 3, RngState(0)).beta,
+    "wishart_bartlett": lambda b: wishart_bartlett(b, 2, 3, RngState(0)).beta,
+    "haar_group": lambda b: haar_group(b, 3, RngState(0)),
+    "haar_columns": lambda b: haar_columns(b, 3, 2, RngState(0)),
+    "dim_automorphism": lambda b: dim_automorphism(b, 3),
+}
+
+
+class TestBetaRule:
+    @pytest.mark.parametrize("bad", [True, np.True_, 3, "2", 2.5, None])
+    @pytest.mark.parametrize("taker", sorted(_BETA_TAKERS))
+    def test_refused_naming_beta(self, taker, bad):
+        with pytest.raises(ValidationError, match="beta"):
+            _BETA_TAKERS[taker](bad)
+
+    @pytest.mark.parametrize("taker", sorted(_BETA_TAKERS))
+    def test_whole_float_is_the_int(self, taker):
+        got, want = _BETA_TAKERS[taker](2.0), _BETA_TAKERS[taker](2)
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+    def test_field_tag_of_a_float_is_the_tag(self):
+        assert FieldTag(2.0) == FIELD_C
+        assert FieldTag(FIELD_H) == FIELD_H
 
 
 class TestSimpleComponent:
@@ -212,6 +254,11 @@ class TestDimAutomorphism:
 
     def test_accepts_beta(self):
         assert dim_automorphism(2, 5) == 25
+
+    @pytest.mark.parametrize("dim", [0, 2.9, True, "3", None, np.nan])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError, match="dim"):
+            dim_automorphism(4, dim)
 
     @given(st.sampled_from([1, 2, 4]), st.integers(min_value=1, max_value=60))
     def test_matches_generator_count(self, beta, n):

@@ -335,10 +335,14 @@ class TestSimulate:
                      str(tmp_path), "--samples", "5", "--budget", "inf"]) == 0
 
     def test_dimension_cap(self, tmp_path, capsys):
+        # no dimension cap of its own: the budget refuses a large sector at
+        # the default sample count (2.2e11 operations) and lets two samples run
         m = write_model(tmp_path / "big.json", dim=300, params=1)
         assert main(["simulate", "--model", str(m), "--out",
                      str(tmp_path / "o")]) == 2
-        assert "simulator cap" in capsys.readouterr().err
+        assert "exceeds budget" in capsys.readouterr().err
+        assert main(["simulate", "--model", str(m), "--out",
+                     str(tmp_path / "o"), "--samples", "2"]) == 0
 
     def test_deterministic(self, rank1_model, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -218,6 +218,11 @@ class TestKacRice:
         with pytest.raises(ValidationError):
             kac_rice_log_density(component(dim=4, params=0), 0.5)
 
+    @pytest.mark.parametrize("z", [True, "0.5", -0.5, np.nan, np.inf])
+    def test_z_must_be_a_positive_number(self, z):
+        with pytest.raises(ValidationError, match="z must be"):
+            kac_rice_log_density(quenched_fixture(), z)
+
     def test_quenched_determinant_monte_carlo(self):
         # Monte Carlo mean of p^-1 ln det of the regularized Hessian block
         # against the frozen asymptotic exponent; the finite-size bias is

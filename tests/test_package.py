@@ -1,0 +1,19 @@
+"""The package's public names: each module's __all__, joined."""
+
+import wishartscape
+from wishartscape import (algebra, errors, landscape, model_io, randmat, simulator,
+                          wishart_process)
+
+MODULES = (algebra, errors, landscape, model_io, randmat, simulator, wishart_process)
+
+
+def test_package_exports_the_joined_module_lists():
+    joined = [name for module in MODULES for name in module.__all__]
+    assert wishartscape.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def test_each_name_is_its_home_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(wishartscape, name) is getattr(module, name), name

@@ -495,6 +495,13 @@ class TestMarchenkoPastur:
     def test_log_moment_diverges_past_square(self):
         assert mp_log_moment(1.5) == -np.inf
 
+    @pytest.mark.parametrize("fn", [marchenko_pastur_support, marchenko_pastur_atom,
+                                    mp_log_moment, lambda g: marchenko_pastur_pdf(g, 1.0)])
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf, True, "0.5", None])
+    def test_gamma_must_be_a_positive_number(self, fn, gamma):
+        with pytest.raises(ValidationError, match="gamma must be"):
+            fn(gamma)
+
     @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0])
     def test_log_moment_closed_form_matches_quadrature(self, gamma):
         assert mp_log_moment(gamma) == pytest.approx(mp_log_moment_quadrature(gamma),

@@ -137,6 +137,12 @@ class TestLossEval:
         with pytest.raises(ValidationError):
             loss_eval(inst, [0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_theta_must_be_finite(self, bad):
+        inst = build_ansatz(component(beta=2, dim=4, params=2), rng(0))
+        with pytest.raises(ValidationError, match="theta"):
+            loss_eval(inst, [0.1, bad])
+
     def test_loss_bounded_by_spectrum(self):
         comp = component(beta=2, dim=6, index=1.5, params=2)
         lo = 1.5 * float(comp.observable_spectrum[0])
@@ -182,6 +188,13 @@ class TestDerivatives:
             np.testing.assert_allclose(
                 hessian_eval(inst), fd_hessian(inst, HESS_FD_STEP), atol=1e-5
             )
+
+    @pytest.mark.parametrize("fd", [fd_gradient, fd_hessian])
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, True, "0.1"])
+    def test_step_must_be_positive_and_finite(self, fd, step):
+        inst = build_ansatz(component(beta=2, dim=4, params=2), rng(0))
+        with pytest.raises(ValidationError, match="step"):
+            fd(inst, step)
 
     def test_hessian_symmetric(self):
         inst = build_ansatz(component(beta=2, dim=6, params=4), rng(31))
@@ -366,6 +379,11 @@ class TestMcLandscape:
         with pytest.raises(ValidationError):
             mc_landscape(comp, 10, rng(0), collect=("grad",))   # params = 0
 
+    def test_bare_string_collect_refused(self):
+        comp = component(beta=2, dim=4, params=1)
+        with pytest.raises(ValidationError, match=r"collect .* \('loss',\)"):
+            mc_landscape(comp, 10, rng(0), collect="loss")
+
     def test_loss_distribution_requires_losses(self):
         comp = component(beta=2, dim=4, params=1)
         mc = mc_landscape(comp, 10, rng(56), collect=("grad",))
@@ -431,3 +449,13 @@ class TestSpectrumFromPauli:
     def test_rejects_malformed(self, terms):
         with pytest.raises(ValidationError):
             spectrum_from_pauli(terms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValidationError, match="term 1: coefficient"):
+            spectrum_from_pauli([(1.0, "ZI"), (bad, "XZ")])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_overflowing_sum(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            spectrum_from_pauli([(1e308, "ZI"), (1e308, "ZZ")])
