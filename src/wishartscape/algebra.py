@@ -13,6 +13,7 @@ the shift is explicitly disabled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -60,11 +61,78 @@ def _checked(name: str, value, ok, rule: str):
     return value
 
 
-def positive_int(name: str, value) -> int:
-    """value as an int when it is a whole number >= 1, by _checked's rule."""
-    if type(value) is int and value >= 1:  # plain ints, the common case, skip the rule
-        return value
-    return int(_checked(name, value, lambda v: int(v) == v >= 1, "a positive integer"))
+# The argument rules for every number, count and real array read from a caller.  A refusal
+# says "{name} must be {rule}, got {value!r}", or names a vector's non-finite entry.
+
+def _count_rule(low: int, rule: str):
+    """A check giving a whole number >= low (a whole float too) as an int."""
+    def check(name: str, value) -> int:
+        if type(value) is int and value >= low:  # plain ints, the common case
+            return value
+        return int(_checked(name, value, lambda v: int(v) == v >= low, rule))
+    return check
+
+
+def _float_rule(ok, rule: str):
+    """A check giving a number x with ok(float(x)) as a float."""
+    def check(name: str, value) -> float:
+        if type(value) is float and ok(value):  # plain floats, the common case
+            return value
+        return float(_checked(name, value, lambda v: ok(float(v)), rule))
+    return check
+
+
+positive_int = _count_rule(1, "a positive integer")
+nonnegative_int = _count_rule(0, "a nonnegative integer")
+positive_float = _float_rule(lambda v: math.isfinite(v) and v > 0, "a positive float")
+positive = _float_rule(lambda v: v > 0, "positive (inf allowed)")
+nonnegative = _float_rule(lambda v: v >= 0, "nonnegative (inf allowed)")
+index_float = _float_rule(lambda v: math.isfinite(v) and v >= 1, "a finite number >= 1")
+finite_float = _float_rule(math.isfinite, "a finite number")
+_FLOAT = np.dtype(float)
+
+
+def _floats(values) -> np.ndarray | None:
+    """values as a float array of its own shape; None for a non-number."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        return None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """values as a float array of the shape given, NaN and inf kept (grids)."""
+    arr = _floats(values)
+    if arr is None:
+        raise ValidationError(f"{name} must be a real array, got {values!r}")
+    return arr
+
+
+def _vector_rule(kind: str, ok=lambda entries: True):
+    """A check giving values flattened to size floats (at least one when size
+    is None), in the order given, all finite and ok on the list of them."""
+    def check(name: str, values, size: int | None = None) -> np.ndarray:
+        fast = type(values) is np.ndarray and values.dtype is _FLOAT  # the common case
+        arr = values if fast else _floats(values)
+        if arr is not None and (arr.size == size if size is not None else arr.size):
+            arr = arr.ravel()
+            entries = arr.tolist()
+            if all(map(math.isfinite, entries)) and ok(entries):
+                return arr
+            for i, v in enumerate(entries):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{name} entry {i} is {v}, not a finite number")
+        length = "nonempty" if size is None else f"length-{size}"
+        raise ValidationError(f"{name} must be a {length} vector of {kind}, got {values!r}")
+    return check
+
+
+finite_vector = _vector_rule("finite numbers")
+nonnegative_vector = _vector_rule("finite numbers >= 0",
+                                  lambda entries: not entries or min(entries) >= 0.0)
+weights = _vector_rule("finite numbers >= 0 with a positive sum",
+                       lambda entries: bool(entries) and min(entries) >= 0.0 < max(entries))
 
 
 def beta_of(field) -> int:
@@ -110,17 +178,6 @@ def field_from_symbol(symbol: str) -> FieldTag:
     return _SYMBOLS[symbol]
 
 
-def _spectrum(name: str, values, dim: int) -> np.ndarray:
-    """values flattened to dim finite floats, in the order given."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size != dim:
-        raise ValidationError(f"{name} must hold {dim} values, got {arr.size}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValidationError(f"{name} entry {bad[0]} is {arr[bad[0]]}, not a finite number")
-    return arr
-
-
 @dataclass(frozen=True)
 class SimpleComponent:
     """One simple sector: spectra of the observable and input restrictions.
@@ -142,15 +199,11 @@ class SimpleComponent:
         if not isinstance(self.field, FieldTag):
             object.__setattr__(self, "field", FieldTag(self.field))
         object.__setattr__(self, "dim", positive_int("dim", self.dim))
-        object.__setattr__(self, "index", float(_checked(
-            "index", self.index, lambda v: np.isfinite(v) and v >= 1, "a finite number >= 1")))
-        obs = np.sort(_spectrum("observable_spectrum", self.observable_spectrum, self.dim))
-        inp = np.sort(_spectrum("input_spectrum", self.input_spectrum, self.dim))[::-1]
-        if np.any(inp < 0.0) or not np.any(inp > 0.0):
-            raise ValidationError("input_spectrum must be nonnegative with positive trace")
-        object.__setattr__(self, "sector_params", int(_checked(
-            "sector_params", self.sector_params, lambda v: int(v) == v >= 0,
-            "a nonnegative integer")))
+        object.__setattr__(self, "index", index_float("index", self.index))
+        obs = np.sort(finite_vector("observable_spectrum", self.observable_spectrum, self.dim))
+        inp = np.sort(weights("input_spectrum", self.input_spectrum, self.dim))[::-1]
+        object.__setattr__(self, "sector_params",
+                           nonnegative_int("sector_params", self.sector_params))
         obs.setflags(write=False)
         inp.setflags(write=False)
         object.__setattr__(self, "observable_spectrum", obs)
@@ -202,9 +255,8 @@ class SectorModel:
                 f"sector parameter counts sum to {sector_sum}, exceeding "
                 f"total_params {self.total_params}"
             )
-        object.__setattr__(self, "normalization", float(_checked(
-            "normalization", self.normalization, lambda v: np.isfinite(v) and v > 0,
-            "a positive float")))
+        object.__setattr__(self, "normalization",
+                           positive_float("normalization", self.normalization))
 
 
 @dataclass(frozen=True)
@@ -251,9 +303,7 @@ def _sector_law(comp: SimpleComponent, *, shift: bool = True) -> tuple[float, fl
 
 
 def _summarize(spectrum, *, shift: bool) -> SpectralStats:
-    eigs = np.asarray(spectrum, dtype=float).ravel()
-    if eigs.size == 0 or not np.all(np.isfinite(eigs)):
-        raise ValidationError("spectrum must be a nonempty finite array")
+    eigs = finite_vector("spectrum", spectrum)
     floor = float(np.min(eigs)) if shift else 0.0
     shifted = eigs - floor
     trace = float(np.sum(shifted))
@@ -291,17 +341,15 @@ def dim_automorphism(field, dim: int) -> int:
 
 def purity(spectrum) -> float:
     """Sum of squared weights over squared total weight; 1 iff rank one."""
-    eigs = np.asarray(spectrum, dtype=float).ravel()
+    eigs = weights("spectrum", spectrum)
     total = float(np.sum(eigs))
-    if eigs.size == 0 or not np.all(np.isfinite(eigs)) or np.any(eigs < 0) or total <= 0:
-        raise ValidationError("spectrum must be nonnegative with positive trace")
     return float(np.sum(eigs * eigs) / (total * total))
 
 
 def index_constant(ambient_trace: float, defining_trace: float) -> float:
     """Ratio scaling the defining trace to the ambient one for a test element."""
-    ambient_trace = float(ambient_trace)
-    defining_trace = float(defining_trace)
+    ambient_trace = finite_float("ambient_trace", ambient_trace)
+    defining_trace = finite_float("defining_trace", defining_trace)
     if defining_trace == 0.0:
         raise DegenerateElementError(
             "defining trace of the test element vanishes; index is undefined"
@@ -352,14 +400,8 @@ def spin_factor_reduce(input_spectrum, observable_spectrum) -> tuple[np.ndarray,
     The reduced input and observable spectra are all pairwise products of the
     original eigenvalue lists (a tensor square), each returned sorted.
     """
-    rho = np.asarray(input_spectrum, dtype=float).ravel()
-    obs = np.asarray(observable_spectrum, dtype=float).ravel()
-    if rho.size == 0 or obs.size == 0:
-        raise ValidationError("spectra must be nonempty")
-    if rho.size != obs.size:
-        raise ValidationError(
-            f"input and observable spectra differ in length: {rho.size} vs {obs.size}"
-        )
+    rho = finite_vector("input_spectrum", input_spectrum)
+    obs = finite_vector("observable_spectrum", observable_spectrum, rho.size)
     rho_red = np.sort(np.outer(rho, rho).ravel())
     obs_red = np.sort(np.outer(obs, obs).ravel())
     return rho_red, obs_red

@@ -15,17 +15,16 @@ All CSV floats carry 17 significant digits so replays are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import SectorModel, _checked, _sector_law, spectral_stats
+from .algebra import (SectorModel, _sector_law, nonnegative, positive, positive_int,
+                      spectral_stats)
 from .errors import (
     BudgetExceededError,
     UndefinedRegimeError,
-    ValidationError,
     WishartscapeError,
 )
 from .kstest import ks_1samp, ks_2samp
@@ -139,15 +138,9 @@ def _g(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _exponent_flag(args) -> None:
-    # NaN would pass as "not below the boundary" and flip the verdicts
-    _checked("--threshold-variance-exponent", args.threshold_variance_exponent,
-             lambda v: v >= 0, "a number >= 0")
-
-
 def _cmd_analyze(args) -> int:
-    _exponent_flag(args)
-    _checked("--threshold-cumulant", args.threshold_cumulant, lambda v: v > 0, "a number > 0")
+    nonnegative("--threshold-variance-exponent", args.threshold_variance_exponent)
+    positive("--threshold-cumulant", args.threshold_cumulant)
     model = load_model(args.model)
     ratios = overparameterization_ratios(model)
     print(f"model: {args.model}")
@@ -189,8 +182,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
-    if args.samples < 1:
-        raise ValidationError(f"--samples must be positive, got {args.samples}")
+    positive_int("--samples", args.samples)
     out = _out_dir(args)
     rng = RngState(args.seed)
     n_comp = len(model.components)
@@ -230,11 +222,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = load_model(args.model)
-    if args.samples < 1:
-        raise ValidationError(f"--samples must be positive, got {args.samples}")
-    # a NaN budget would refuse nothing: every comparison with it is false
-    if math.isnan(args.budget) or args.budget <= 0:
-        raise ValidationError(f"--budget must be positive, got {args.budget}")
+    positive_int("--samples", args.samples)
+    positive("--budget", args.budget)
     cost = sum(_mc_cost(comp, args.samples) for comp in model.components)
     if cost > args.budget:
         raise BudgetExceededError(
@@ -301,7 +290,7 @@ def _cmd_minima(args) -> int:
 
 
 def _cmd_trainability(args) -> int:
-    _exponent_flag(args)
+    nonnegative("--threshold-variance-exponent", args.threshold_variance_exponent)
     models = [load_model(path) for path in args.model]
     report = trainability_verdict(
         models, polylog_exponent=args.threshold_variance_exponent)

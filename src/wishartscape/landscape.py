@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (SectorModel, SimpleComponent, _checked, _sector_law, dim_automorphism,
-                      positive_int, purity, spectral_stats)
+from .algebra import (SectorModel, SimpleComponent, _sector_law, dim_automorphism,
+                      nonnegative, positive, positive_float, positive_int, purity,
+                      real_array, spectral_stats, weights)
 from .errors import (
     NotApplicableError,
     TrendUnfitError,
@@ -87,7 +88,7 @@ class MinimaDensity:
     mass: float
 
     def at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z = real_array("z", z)
         if self.point_mass:
             return np.zeros_like(z)
         return np.interp(z, self.z_grid, self.density, left=0.0, right=0.0)
@@ -179,7 +180,7 @@ def kac_rice_log_density(comp: SimpleComponent, z: float) -> float:
     (gamma >= 1): minima then concentrate at zero loss and the continuous
     density vanishes.
     """
-    z = float(_checked("z", z, lambda v: math.isfinite(v) and v > 0, "a positive float"))
+    z = positive_float("z", z)
     if comp.sector_params < 1:
         raise ValidationError("kac_rice_log_density needs at least one sector parameter")
     mean, beta_dof = _sector_law(comp)
@@ -218,12 +219,12 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
     variance_exponent, and the normalized third-cumulant scale
     max_a N^3 I^3 obar^3 tr(rho^3) / r^2 must stay below cumulant_threshold.
     """
-    _checked("variance_exponent", variance_exponent, lambda v: v >= 0, "a number >= 0")
-    _checked("cumulant_threshold", cumulant_threshold, lambda v: v > 0, "a number > 0")
+    variance_exponent = nonnegative("variance_exponent", variance_exponent)
+    cumulant_threshold = positive("cumulant_threshold", cumulant_threshold)
     norm = model.normalization
     variance_term = norm**2 * loss_variance(model)
     n_max = max(c.dim for c in model.components)
-    variance_floor = float(n_max) ** (-float(variance_exponent))
+    variance_floor = float(n_max) ** -variance_exponent
     cumulant_term = 0.0
     for comp in model.components:
         st = spectral_stats(comp)
@@ -243,7 +244,7 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
         variance_floor=variance_floor,
         variance_ok=variance_ok,
         cumulant_term=cumulant_term,
-        cumulant_threshold=float(cumulant_threshold),
+        cumulant_threshold=cumulant_threshold,
         cumulant_ok=cumulant_ok,
         plausible=variance_ok and cumulant_ok,
     )
@@ -256,18 +257,14 @@ def gp_covariance_diagonal(model: SectorModel, other_inputs) -> float:
     spectra are paired weight-by-weight after the descending sort that
     SimpleComponent applies to its own input.
     """
-    if len(other_inputs) != len(model.components):
+    n = len(model.components)
+    others = list(other_inputs) if np.iterable(other_inputs) else ()
+    if len(others) != n:
         raise ValidationError(
-            f"need one spectrum per component ({len(model.components)}), "
-            f"got {len(other_inputs)}"
-        )
+            f"other_inputs must hold one spectrum per component ({n}), got {other_inputs!r}")
     total = 0.0
-    for comp, other in zip(model.components, other_inputs):
-        other = np.sort(np.asarray(other, dtype=float).ravel())[::-1]
-        if other.size != comp.dim or np.any(other < 0) or not np.all(np.isfinite(other)):
-            raise ValidationError(
-                "second input spectrum must be nonnegative with the sector dimension"
-            )
+    for a, (comp, other) in enumerate(zip(model.components, others)):
+        other = np.sort(weights(f"other_inputs[{a}]", other, comp.dim))[::-1]
         total += _covariance(comp, float(np.dot(comp.input_spectrum, other)))
     return model.normalization**2 * total
 
@@ -304,8 +301,10 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
     The minima condition additionally requires total_params to reach
     max_a beta_a * r_a at every size.
     """
-    _checked("polylog_exponent", polylog_exponent, lambda v: v >= 0, "a number >= 0")
-    models = list(models)
+    polylog_exponent = nonnegative("polylog_exponent", polylog_exponent)
+    models = list(models) if np.iterable(models) else [models]
+    if not all(isinstance(m, SectorModel) for m in models):
+        raise ValidationError("models must be SectorModel instances")
     sizes = np.array([max(c.dim for c in m.components) for m in models], dtype=float)
     distinct = len(set(sizes.tolist()))
     if distinct < 3:
@@ -321,7 +320,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
     x = np.log(np.log(sizes))
     y = np.log(variances)
     slope, stderr = _ols_slope(x, y)
-    boundary = -float(polylog_exponent)
+    boundary = -polylog_exponent
     if abs(slope - boundary) <= 2.0 * stderr:
         verdict = "inconclusive"
     elif slope < boundary:
@@ -335,7 +334,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
         variances=variances,
         slope=slope,
         slope_stderr=stderr,
-        polylog_exponent=float(polylog_exponent),
+        polylog_exponent=polylog_exponent,
         variance_verdict=verdict,
         minima_ok=minima_ok,
         trainable=(verdict == "non-vanishing") and minima_ok,
@@ -358,8 +357,7 @@ def low_purity_bound(comp: SimpleComponent, normalization: float = 1.0) -> float
     inflated by the square of the chunk count ceil(N / floor(N^0.999)).
     normalization must be finite and positive, as in SectorModel.
     """
-    _checked("normalization", normalization, lambda v: np.isfinite(v) and v > 0,
-             "a positive float")
+    normalization = positive_float("normalization", normalization)
     if not low_purity_applicable(comp):
         raise NotApplicableError(
             f"input purity {purity(comp.input_spectrum):.3e} exceeds "

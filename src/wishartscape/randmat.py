@@ -26,7 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import BETAS, _checked, beta_of, positive_int  # BETAS stays importable here
+from .algebra import (BETAS, beta_of, nonnegative_int,  # BETAS stays importable here
+                      positive_float, positive_int, real_array)
 from .errors import ValidationError
 from . import field
 
@@ -60,8 +61,7 @@ class RngState:
         elif isinstance(seed, np.random.SeedSequence):
             self._seq = seed
         else:
-            self._seq = np.random.SeedSequence(int(_checked(
-                "seed", seed, lambda v: int(v) == v >= 0, "a nonnegative integer")))
+            self._seq = np.random.SeedSequence(nonnegative_int("seed", seed))
         self._generator = np.random.Generator(np.random.PCG64(self._seq))
 
     @property
@@ -218,13 +218,8 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur law for W / dof with aspect ratio gamma = dim / dof.
 
-def _check_gamma(gamma: float) -> float:
-    return float(_checked("gamma", gamma, lambda v: math.isfinite(v) and v > 0,
-                          "a positive float"))
-
-
 def marchenko_pastur_support(gamma: float) -> tuple[float, float]:
-    gamma = _check_gamma(gamma)
+    gamma = positive_float("gamma", gamma)
     lo = (1.0 - np.sqrt(gamma)) ** 2
     hi = (1.0 + np.sqrt(gamma)) ** 2
     return lo, hi
@@ -232,14 +227,14 @@ def marchenko_pastur_support(gamma: float) -> tuple[float, float]:
 
 def marchenko_pastur_atom(gamma: float) -> float:
     """Mass of the point at zero (nonzero only past the square aspect)."""
-    gamma = _check_gamma(gamma)
+    gamma = positive_float("gamma", gamma)
     return max(0.0, 1.0 - 1.0 / gamma)
 
 
 def marchenko_pastur_pdf(gamma: float, lam) -> np.ndarray:
     """Density of the continuous part at lam; zero off the bulk support."""
-    gamma = _check_gamma(gamma)
-    lam = np.asarray(lam, dtype=float)
+    gamma = positive_float("gamma", gamma)
+    lam = real_array("lam", lam)
     lo, hi = marchenko_pastur_support(gamma)
     inside = (lam > lo) & (lam < hi)
     out = np.zeros_like(lam)
@@ -255,7 +250,7 @@ def mp_log_moment(gamma: float) -> float:
     gamma < 1, and exactly -1 at gamma = 1.  For gamma > 1 the atom at zero
     makes the integral diverge to -inf.
     """
-    gamma = _check_gamma(gamma)
+    gamma = positive_float("gamma", gamma)
     if gamma > 1.0:
         return -np.inf
     if gamma == 1.0:
@@ -266,9 +261,9 @@ def mp_log_moment(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Gamma law with shape a and scale, the loss law of a rank-one input sector.
 
-def _gamma_pdf(x, a: float, scale: float):
-    """Gamma density; at x = 0 it is inf, 1/scale or 0 for a <, =, > 1."""
-    y = np.asarray(x, dtype=float) / scale
+def _gamma_pdf(z, a: float, scale: float):
+    """Gamma density; at z = 0 it is inf, 1/scale or 0 for a <, =, > 1."""
+    y = real_array("z", z) / scale
     out = np.where(np.isnan(y), np.nan, 0.0)
     pos = y > 0.0
     yp = y[pos]
@@ -277,8 +272,8 @@ def _gamma_pdf(x, a: float, scale: float):
     return out[()]
 
 
-def _gamma_cdf(x, a: float, scale: float):
+def _gamma_cdf(z, a: float, scale: float):
     """Gamma distribution function: the regularized lower incomplete gamma."""
     from scipy.special import gammainc
 
-    return gammainc(a, np.maximum(np.asarray(x, dtype=float) / scale, 0.0))
+    return gammainc(a, np.maximum(real_array("z", z) / scale, 0.0))

@@ -10,12 +10,12 @@ commutator traces; finite-difference versions exist for cross-checking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SimpleComponent, _checked, positive_int
+from .algebra import (SimpleComponent, finite_float, finite_vector, nonnegative_int,
+                      positive_float, positive_int)
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, haar_columns, haar_group
 from . import field
@@ -68,7 +68,7 @@ def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
     sectors phase the first coordinate; quaternion sectors cycle the three
     imaginary phases of the first coordinate.
     """
-    j = _generator_block(comp, which)
+    j = _generator_block(comp, nonnegative_int("which", which))
     k = j.shape[0]
     a = np.zeros((comp.dim, comp.dim) + j.shape[2:], dtype=j.dtype)
     a[:k, :k] = j
@@ -132,12 +132,7 @@ def _frames(inst: AnsatzInstance) -> tuple[np.ndarray, np.ndarray]:
 def loss_eval(inst: AnsatzInstance, theta) -> float:
     """Raw (unshifted) loss of the circuit at parameter vector theta."""
     comp = inst.component
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != inst.n_params:
-        raise ValidationError(
-            f"theta must have length {inst.n_params}, got {theta.size}"
-        )
-    _checked("theta", theta, lambda v: np.isfinite(v).all(), "finite")
+    theta = finite_vector("theta", theta, inst.n_params)
     beta = comp.beta
     rho_t, obs_t = _frames(inst)
     v = field.eye(beta, comp.dim)
@@ -194,14 +189,9 @@ def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
     return comp.index * _hessian_entries(comp.beta, rho_t, obs_t, gens)
 
 
-def _fd_step(step: float) -> float:
-    return float(_checked("step", step, lambda v: math.isfinite(v) and v > 0,
-                          "a positive finite number"))
-
-
 def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
     """Central finite differences of loss_eval around theta = 0."""
-    step = _fd_step(step)
+    step = positive_float("step", step)
     p = inst.n_params
     out = np.empty(p)
     theta = np.zeros(p)
@@ -217,7 +207,7 @@ def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
 
 def fd_hessian(inst: AnsatzInstance, step: float = HESS_FD_STEP) -> np.ndarray:
     """Nested central differences of loss_eval around theta = 0."""
-    step = _fd_step(step)
+    step = positive_float("step", step)
     p = inst.n_params
     out = np.empty((p, p))
     theta = np.zeros(p)
@@ -249,9 +239,7 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_samples(cls, arr) -> "EmpiricalDistribution":
-        arr = np.sort(np.asarray(arr, dtype=float).ravel())
-        if arr.size == 0:
-            raise ValidationError("cannot summarize an empty sample set")
+        arr = np.sort(finite_vector("arr", arr))
         return cls(
             samples=arr,
             count=int(arr.size),
@@ -331,9 +319,9 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     So no draw depends on how the samples are batched, and adding "hessian"
     leaves the losses and gradients unchanged.
     """
-    if isinstance(collect, str):
+    if isinstance(collect, str) or not np.iterable(collect):
         raise ValidationError(
-            f"collect must be a tuple of names, such as ({collect!r},), not a bare string")
+            f"collect must be a tuple of names, such as ('loss',), got {collect!r}")
     collect = tuple(collect)
     for c in collect:
         if c not in _COLLECT:
@@ -342,8 +330,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         raise ValidationError("collect must name at least one quantity")
     n_samples = positive_int("n_samples", n_samples)
     beta, dim = comp.beta, comp.dim
-    obs = np.asarray(comp.observable_spectrum)
-    rho = np.asarray(comp.input_spectrum)
+    obs, rho = comp.observable_spectrum, comp.input_spectrum
     floor = comp.index * float(obs[0]) * comp.input_trace  # spectrum sorted ascending
     p = comp.sector_params
     want_grad = "grad" in collect
@@ -401,6 +388,7 @@ _PAULIS = {
 }
 
 
+@np.errstate(over="raise")
 def spectrum_from_pauli(terms) -> np.ndarray:
     """Eigenvalues (ascending) of a sum of weighted Pauli strings.
 
@@ -408,10 +396,9 @@ def spectrum_from_pauli(terms) -> np.ndarray:
     IXYZ; all strings share one length n <= 12, and the dense 2^n matrix is
     diagonalized directly.
     """
-    try:
-        terms = list(terms)
-    except TypeError:
-        raise ValidationError(f"Pauli terms must be a list, got {terms!r}") from None
+    if not np.iterable(terms):
+        raise ValidationError(f"Pauli terms must be a list, got {terms!r}")
+    terms = list(terms)
     if not terms:
         raise ValidationError("no Pauli terms given")
     n_qubits = None
@@ -419,13 +406,11 @@ def spectrum_from_pauli(terms) -> np.ndarray:
     for t_index, term in enumerate(terms):
         try:
             coeff, word = term
-            coeff = float(coeff)
         except (TypeError, ValueError):
             raise ValidationError(
                 f"term {t_index} must be a (number, string) pair, got {term!r}"
             ) from None
-        if not math.isfinite(coeff):
-            raise ValidationError(f"term {t_index}: coefficient {coeff} is not a finite number")
+        coeff = finite_float(f"term {t_index}: coefficient", coeff)
         if not isinstance(word, str) or not word:
             raise ValidationError(f"term {t_index}: Pauli word must be a nonempty string")
         if n_qubits is None:
@@ -445,7 +430,8 @@ def spectrum_from_pauli(terms) -> np.ndarray:
                     f"term {t_index}: invalid Pauli letter {ch!r} at position {pos}"
                 )
             mat = np.kron(mat, _PAULIS[ch])
-        total = coeff * mat if total is None else total + coeff * mat
-    if not np.all(np.isfinite(total)):
-        raise ValidationError("Pauli terms sum to a matrix with non-finite entries")
+        try:
+            total = coeff * mat if total is None else total + coeff * mat
+        except FloatingPointError:
+            raise ValidationError("Pauli terms sum to a matrix with non-finite entries") from None
     return np.linalg.eigvalsh(total)

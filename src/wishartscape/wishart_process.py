@@ -19,8 +19,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import SectorModel, SimpleComponent, _sector_law, positive_int, spectral_stats
-from .errors import UnsupportedConfigurationError, ValidationError
+from .algebra import (SectorModel, SimpleComponent, _sector_law, nonnegative_vector,
+                      positive_int, spectral_stats)
+from .errors import UnsupportedConfigurationError
 from .randmat import RngState, _gamma_cdf, _gamma_pdf, _wishart
 
 __all__ = [
@@ -136,17 +137,6 @@ def loss_cdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarra
     return _gamma_cdf(z, k, scale)
 
 
-def _check_z_values(model: SectorModel, z_values) -> np.ndarray:
-    z = np.asarray(z_values, dtype=float).ravel()
-    if z.size != len(model.components):
-        raise ValidationError(
-            f"need one loss value per component ({len(model.components)}), got {z.size}"
-        )
-    if not all(0.0 <= v < math.inf for v in z.tolist()):  # NaN fails too
-        raise ValidationError("conditioned loss values must be finite and nonnegative")
-    return z
-
-
 def _amplitude(comp: SimpleComponent, st) -> float:
     """2 I sigma tr(rho): the gradient law divides it by N, the Hessian by N^2."""
     return 2.0 * comp.index * st.std_eig * comp.input_trace
@@ -181,7 +171,7 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
     2 pi (see _gradient_scales).  Requires a rank-one input in each sector
     (the regime of the closed-form law).
     """
-    z = _check_z_values(model, z_values)
+    z = nonnegative_vector("z_values", z_values, len(model.components))
     for comp in model.components:
         if not comp.is_rank_one_input():
             raise UnsupportedConfigurationError(
@@ -227,7 +217,7 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
     of dimension sector_params and beta * r degrees of freedom.  Parameters
     beyond the per-sector blocks act trivially and contribute zero rows.
     """
-    z = _check_z_values(model, z_values)
+    z = nonnegative_vector("z_values", z_values, len(model.components))
     p = model.total_params
     g = rng.generator
     matrix = np.zeros((p, p))

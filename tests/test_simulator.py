@@ -455,7 +455,6 @@ class TestSpectrumFromPauli:
         with pytest.raises(ValidationError, match="term 1: coefficient"):
             spectrum_from_pauli([(1.0, "ZI"), (bad, "XZ")])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rejects_overflowing_sum(self):
         with pytest.raises(ValidationError, match="non-finite"):
             spectrum_from_pauli([(1e308, "ZI"), (1e308, "ZZ")])
