@@ -135,6 +135,26 @@ weights = _vector_rule("finite numbers >= 0 with a positive sum",
                        lambda entries: bool(entries) and min(entries) >= 0.0 < max(entries))
 
 
+def _object_rule(kind: type, rule: str):
+    """A check giving value when it is a kind instance, a package object the
+    library reads attributes of; anything else is refused by _checked."""
+    def check(name: str, value):
+        if type(value) is kind:  # the common case
+            return value
+        return _checked(name, value, lambda v: isinstance(v, kind), rule)
+    return check
+
+
+def _sequence_rule(kind: type, rule: str):
+    """A check giving a sequence of kind instances as a tuple."""
+    def check(name: str, values) -> tuple:
+        items = tuple(values) if np.iterable(values) else None
+        _checked(name, values,
+                 lambda v: items is not None and all(isinstance(x, kind) for x in items), rule)
+        return items
+    return check
+
+
 def beta_of(field) -> int:
     """beta of a FieldTag, or of 1, 2 or 4 given as a number, as an int; for
     anything else, by _checked's rule, a ValidationError naming beta."""
@@ -209,8 +229,10 @@ class SimpleComponent:
         object.__setattr__(self, "observable_spectrum", obs)
         object.__setattr__(self, "input_spectrum", inp)
 
-    @property
+    @cached_property
     def beta(self) -> int:
+        # read once per call by every sampler and closed form; cached, a
+        # read costs an attribute lookup, not a property call
         return self.field.beta
 
     @cached_property
@@ -242,11 +264,9 @@ class SectorModel:
     normalization: float = 1.0
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = simple_components("components", self.components)
         if not comps:
             raise ValidationError("a model needs at least one component")
-        if any(not isinstance(c, SimpleComponent) for c in comps):
-            raise ValidationError("components must be SimpleComponent instances")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "total_params", positive_int("total_params", self.total_params))
         sector_sum = sum(c.sector_params for c in comps)
@@ -257,6 +277,12 @@ class SectorModel:
             )
         object.__setattr__(self, "normalization",
                            positive_float("normalization", self.normalization))
+
+
+simple_component = _object_rule(SimpleComponent, "a SimpleComponent")
+simple_components = _sequence_rule(SimpleComponent, "SimpleComponent instances")
+sector_model = _object_rule(SectorModel, "a SectorModel")
+sector_models = _sequence_rule(SectorModel, "SectorModel instances")
 
 
 @dataclass(frozen=True)

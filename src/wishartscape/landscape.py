@@ -14,7 +14,8 @@ import numpy as np
 
 from .algebra import (SectorModel, SimpleComponent, _sector_law, dim_automorphism,
                       nonnegative, positive, positive_float, positive_int, purity,
-                      real_array, spectral_stats, weights)
+                      real_array, sector_model, sector_models, simple_component,
+                      spectral_stats, weights)
 from .errors import (
     NotApplicableError,
     TrendUnfitError,
@@ -66,12 +67,13 @@ def loss_variance(model: SectorModel) -> float:
     2N^2 - N - 1 for beta = 1, 2, 4.  For a pure input kappa tends to
     1 - r/N as N grows, not to 1.
     """
-    return float(sum(_component_variance(c) for c in model.components))
+    return float(sum(_component_variance(c) for c in sector_model("model", model).components))
 
 
 def overparameterization_ratios(model: SectorModel) -> np.ndarray:
     """Per-sector ratio of parameter count to beta * degrees of freedom."""
-    return np.array([c.sector_params / _sector_law(c)[1] for c in model.components])
+    return np.array([c.sector_params / _sector_law(c)[1]
+                     for c in sector_model("model", model).components])
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def kac_rice_log_density(comp: SimpleComponent, z: float) -> float:
     density vanishes.
     """
     z = positive_float("z", z)
-    if comp.sector_params < 1:
+    if simple_component("comp", comp).sector_params < 1:
         raise ValidationError("kac_rice_log_density needs at least one sector parameter")
     mean, beta_dof = _sector_law(comp)
     gamma = comp.sector_params / beta_dof
@@ -221,7 +223,7 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
     """
     variance_exponent = nonnegative("variance_exponent", variance_exponent)
     cumulant_threshold = positive("cumulant_threshold", cumulant_threshold)
-    norm = model.normalization
+    norm = sector_model("model", model).normalization
     variance_term = norm**2 * loss_variance(model)
     n_max = max(c.dim for c in model.components)
     variance_floor = float(n_max) ** -variance_exponent
@@ -257,7 +259,7 @@ def gp_covariance_diagonal(model: SectorModel, other_inputs) -> float:
     spectra are paired weight-by-weight after the descending sort that
     SimpleComponent applies to its own input.
     """
-    n = len(model.components)
+    n = len(sector_model("model", model).components)
     others = list(other_inputs) if np.iterable(other_inputs) else ()
     if len(others) != n:
         raise ValidationError(
@@ -302,9 +304,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
     max_a beta_a * r_a at every size.
     """
     polylog_exponent = nonnegative("polylog_exponent", polylog_exponent)
-    models = list(models) if np.iterable(models) else [models]
-    if not all(isinstance(m, SectorModel) for m in models):
-        raise ValidationError("models must be SectorModel instances")
+    models = sector_models("models", [models] if isinstance(models, SectorModel) else models)
     sizes = np.array([max(c.dim for c in m.components) for m in models], dtype=float)
     distinct = len(set(sizes.tolist()))
     if distinct < 3:
@@ -346,7 +346,7 @@ def _chunk_count(dim: int) -> int:
 
 
 def low_purity_applicable(comp: SimpleComponent) -> bool:
-    return purity(comp.input_spectrum) <= float(comp.dim) ** (-0.999)
+    return purity(simple_component("comp", comp).input_spectrum) <= float(comp.dim) ** (-0.999)
 
 
 def low_purity_bound(comp: SimpleComponent, normalization: float = 1.0) -> float:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import (BETAS, beta_of, nonnegative_int,  # BETAS stays importable here
-                      positive_float, positive_int, real_array)
+from .algebra import (BETAS, _object_rule, beta_of,  # BETAS stays importable here
+                      nonnegative_int, positive_float, positive_int, real_array)
 from .errors import ValidationError
 from . import field
 
@@ -76,6 +76,17 @@ class RngState:
         return f"RngState(entropy={self._seq.entropy!r})"
 
 
+rng_state = _object_rule(RngState, "an RngState")
+
+
+def _generator(rng) -> np.random.Generator:
+    """The generator of rng, an RngState by rng_state's rule; every draw
+    reads its stream here, at the cost of the generator property."""
+    if type(rng) is RngState:  # the common case
+        return rng._generator
+    return rng_state("rng", rng).generator
+
+
 def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
     """Standard Gaussian matrix over the field addressed by beta.
 
@@ -87,7 +98,7 @@ def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
 
 def _gauss(beta: int, shape: tuple, rng: RngState) -> np.ndarray:
     """Standard Gaussian matrices over the field, shape (..., rows, cols)."""
-    return field.from_components(beta, rng.generator.standard_normal(shape + (beta,)))
+    return field.from_components(beta, _generator(rng).standard_normal(shape + (beta,)))
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ def _bartlett_factor(beta: int, dim: int, dof: int, rng: RngState) -> np.ndarray
     """
     L = _gauss(beta, (dim, dof), rng)
     L *= _bartlett_mask(beta, dim, dof)
-    chisquare, scale = rng.generator.chisquare, 1.0 / math.sqrt(beta)
+    chisquare, scale = _generator(rng).chisquare, 1.0 / math.sqrt(beta)
     field.set_real_diagonal(beta, L, [math.sqrt(chisquare(beta * (dof - i))) * scale
                                       for i in range(min(dim, dof))])
     return L

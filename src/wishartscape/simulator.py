@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import (SimpleComponent, finite_float, finite_vector, nonnegative_int,
-                      positive_float, positive_int)
+from .algebra import (SimpleComponent, _object_rule, finite_float, finite_vector,
+                      nonnegative_int, positive_float, positive_int, simple_component)
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, haar_columns, haar_group
+from .randmat import RngState, haar_columns, haar_group, rng_state
 from . import field
 
 __all__ = [
@@ -68,6 +68,7 @@ def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
     sectors phase the first coordinate; quaternion sectors cycle the three
     imaginary phases of the first coordinate.
     """
+    comp = simple_component("comp", comp)
     j = _generator_block(comp, nonnegative_int("which", which))
     k = j.shape[0]
     a = np.zeros((comp.dim, comp.dim) + j.shape[2:], dtype=j.dtype)
@@ -104,9 +105,12 @@ class AnsatzInstance:
         return _conjugate(self.component.beta, self.conjugators[i], self.generators[i])
 
 
+ansatz_instance = _object_rule(AnsatzInstance, "an AnsatzInstance")
+
+
 def build_ansatz(comp: SimpleComponent, rng: RngState) -> AnsatzInstance:
     """Draws the Haar frames for one circuit with sector_params parameters."""
-    p = comp.sector_params
+    p = simple_component("comp", comp).sector_params
     beta, dim = comp.beta, comp.dim
     generators = tuple(canonical_generator(comp, i) for i in range(p))
     state_frame = haar_group(beta, dim, rng)
@@ -131,7 +135,7 @@ def _frames(inst: AnsatzInstance) -> tuple[np.ndarray, np.ndarray]:
 
 def loss_eval(inst: AnsatzInstance, theta) -> float:
     """Raw (unshifted) loss of the circuit at parameter vector theta."""
-    comp = inst.component
+    comp = ansatz_instance("inst", inst).component
     theta = finite_vector("theta", theta, inst.n_params)
     beta = comp.beta
     rho_t, obs_t = _frames(inst)
@@ -145,7 +149,7 @@ def loss_eval(inst: AnsatzInstance, theta) -> float:
 
 def grad_eval(inst: AnsatzInstance) -> np.ndarray:
     """Analytic gradient at theta = 0: entries index * Re tr([rho~, O~] A~_i)."""
-    comp = inst.component
+    comp = ansatz_instance("inst", inst).component
     beta = comp.beta
     rho_t, obs_t = _frames(inst)
     k = field.matmul(beta, rho_t, obs_t) - field.matmul(beta, obs_t, rho_t)
@@ -181,7 +185,7 @@ def _hessian_entries(beta: int, rho_t: np.ndarray, obs_t: np.ndarray,
 
 def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
     """Analytic Hessian at theta = 0 (see _hessian_entries)."""
-    comp = inst.component
+    comp = ansatz_instance("inst", inst).component
     if inst.n_params == 0:
         return np.empty((0, 0))
     rho_t, obs_t = _frames(inst)
@@ -192,7 +196,7 @@ def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
 def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
     """Central finite differences of loss_eval around theta = 0."""
     step = positive_float("step", step)
-    p = inst.n_params
+    p = ansatz_instance("inst", inst).n_params
     out = np.empty(p)
     theta = np.zeros(p)
     for i in range(p):
@@ -208,7 +212,7 @@ def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
 def fd_hessian(inst: AnsatzInstance, step: float = HESS_FD_STEP) -> np.ndarray:
     """Nested central differences of loss_eval around theta = 0."""
     step = positive_float("step", step)
-    p = inst.n_params
+    p = ansatz_instance("inst", inst).n_params
     out = np.empty((p, p))
     theta = np.zeros(p)
     for a in range(p):
@@ -313,11 +317,18 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     formula hessian_eval uses.  The instance-by-instance route (build_ansatz
     with loss_eval, grad_eval and hessian_eval) stays as the tests' oracle.
 
-    The Haar matrices u come from rng's stream.  When gradients or Hessians
-    are collected the frames G come from one child stream, spawned once per
-    call from rng's seed sequence (rng.split(1)) and drawn sample by sample.
-    So no draw depends on how the samples are batched, and adding "hessian"
-    leaves the losses and gradients unchanged.
+    The Haar matrices u come from rng's stream, drawn by haar_columns with
+    all dim columns: Haar on O(N), U(N) or Sp(N), without haar_group's fold
+    of beta = 1 draws onto SO(N).  Nothing here reads the fold: u enters only
+    through |u_ij|^2 and u diag(rho) u^dagger, and negating a real column
+    negates both factors of every product in them, which IEEE rounding keeps
+    exact, so every output is the one the folded draw gives, bit for bit.
+
+    When gradients or Hessians are collected the frames G come from one
+    child stream, spawned once per call from rng's seed sequence
+    (rng.split(1)) and drawn sample by sample.  So no draw depends on how
+    the samples are batched, and adding "hessian" leaves the losses and
+    gradients unchanged.
     """
     if isinstance(collect, str) or not np.iterable(collect):
         raise ValidationError(
@@ -329,6 +340,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     if not collect:
         raise ValidationError("collect must name at least one quantity")
     n_samples = positive_int("n_samples", n_samples)
+    comp, rng = simple_component("comp", comp), rng_state("rng", rng)
     beta, dim = comp.beta, comp.dim
     obs, rho = comp.observable_spectrum, comp.input_spectrum
     floor = comp.index * float(obs[0]) * comp.input_trace  # spectrum sorted ascending
@@ -355,7 +367,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     # one batch per call, so that its arrays are freed before the next draws
     def draw(rows: slice) -> None:
         b = rows.stop - rows.start
-        u = haar_group(beta, dim, rng, size=b)
+        u = haar_columns(beta, dim, dim, rng, size=b)
         if losses is not None:
             raw = comp.index * _fast_losses(beta, u, obs, rho)
             losses[rows] = raw - floor

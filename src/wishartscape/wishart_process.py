@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import (SectorModel, SimpleComponent, _sector_law, nonnegative_vector,
-                      positive_int, spectral_stats)
+                      positive_int, sector_model, simple_component, spectral_stats)
 from .errors import UnsupportedConfigurationError
-from .randmat import RngState, _gamma_cdf, _gamma_pdf, _wishart
+from .randmat import RngState, _gamma_cdf, _gamma_pdf, _generator, _wishart
 
 __all__ = [
     "LossDraw",
@@ -50,6 +50,7 @@ class LossDraw:
 
     def reconstruct(self, model: SectorModel) -> float:
         total = 0.0
+        model = sector_model("model", model)
         for comp, pref, diag in zip(model.components, self.prefactors, self.diagonals):
             total += pref * float(np.dot(comp.input_spectrum, diag))
         return total
@@ -82,7 +83,7 @@ def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
     diagonal is drawn.  A two-route distribution check against full Wishart
     draws lives in the test suite.
     """
-    g = rng.generator
+    g = _generator(rng)
     for comp in model.components:
         st = spectral_stats(comp)
         yield (comp, comp.index * st.mean_eig / st.dof,
@@ -91,6 +92,7 @@ def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
 
 def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
     """One draw of the per-sector losses that keeps its Wishart diagonals."""
+    model = sector_model("model", model)
     draws = [(comp, pref, diag[0]) for comp, pref, diag in _loss_diagonals(model, 1, rng)]
     z = np.array([pref * float(np.dot(comp.input_spectrum, diag))
                   for comp, pref, diag in draws])
@@ -104,6 +106,7 @@ def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
 
 def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.ndarray:
     """(n_samples, n_components) array of per-sector loss draws."""
+    model = sector_model("model", model)
     n_samples = positive_int("n_samples", n_samples)
     out = np.empty((n_samples, len(model.components)))
     for a, (comp, pref, diag) in enumerate(_loss_diagonals(model, n_samples, rng)):
@@ -113,7 +116,7 @@ def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.n
 
 def rank1_gamma_params(comp: SimpleComponent, *, shift: bool = True) -> tuple[float, float]:
     """Gamma (shape, scale) of the loss law for a rank-one input sector."""
-    if not comp.is_rank_one_input():
+    if not simple_component("comp", comp).is_rank_one_input():
         raise UnsupportedConfigurationError(
             "closed-form loss density requires a rank-one input restriction; "
             "use the exact simulator for mixed inputs"
@@ -171,6 +174,7 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
     2 pi (see _gradient_scales).  Requires a rank-one input in each sector
     (the regime of the closed-form law).
     """
+    model = sector_model("model", model)
     z = nonnegative_vector("z_values", z_values, len(model.components))
     for comp in model.components:
         if not comp.is_rank_one_input():
@@ -178,7 +182,7 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
                 "conditional gradient law requires rank-one inputs; "
                 "use the exact simulator for mixed inputs"
             )
-    g = rng.generator
+    g = _generator(rng)
     p = model.total_params
     scales = _gradient_scales(model, z)
     entries = np.zeros(p)
@@ -217,9 +221,10 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
     of dimension sector_params and beta * r degrees of freedom.  Parameters
     beyond the per-sector blocks act trivially and contribute zero rows.
     """
+    model = sector_model("model", model)
     z = nonnegative_vector("z_values", z_values, len(model.components))
     p = model.total_params
-    g = rng.generator
+    g = _generator(rng)
     matrix = np.zeros((p, p))
     gaussians = []
     chis = []
@@ -267,12 +272,12 @@ def regularized_hessian_sample(comp: SimpleComponent, rng: RngState) -> np.ndarr
     max(2, beta) degrees of freedom and W a real Wishart of dimension
     sector_params.
     """
-    pa = comp.sector_params
+    pa = simple_component("comp", comp).sector_params
     if pa < 1:
         raise UnsupportedConfigurationError(
             "regularized Hessian needs at least one parameter acting on the sector"
         )
-    g = rng.generator
+    g = _generator(rng)
     b = max(2, comp.beta)
     sigma = g.chisquare(b, size=pa)
     w = _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)

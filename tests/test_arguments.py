@@ -12,25 +12,32 @@ from wishartscape import (
     FIELD_C,
     EmpiricalDistribution,
     RngState,
+    SectorModel,
     SimpleComponent,
     ValidationError,
     build_ansatz,
     build_minima_density,
     canonical_generator,
     gp_covariance_diagonal,
+    grad_eval,
+    haar_group,
     index_constant,
+    kac_rice_log_density,
     loss_cdf_rank1,
     loss_eval,
     loss_pdf_rank1,
+    loss_variance,
     marchenko_pastur_pdf,
     mc_landscape,
     purity,
+    regularized_hessian_sample,
     sample_gradient_given_loss,
     sample_loss_batch,
     spectral_stats,
     spectrum_from_pauli,
     spin_factor_reduce,
     trainability_verdict,
+    welch_satterthwaite,
 )
 from wishartscape.algebra import nonnegative, positive, positive_float, positive_int
 
@@ -65,6 +72,16 @@ PROBES = {
     "generator-which": ("which", lambda: canonical_generator(component(beta=4, dim=2), 2.5)),
     "pauli-coefficient": ("term 0: coefficient", lambda: spectrum_from_pauli([("1.5", "Z")])),
     "sample-set-nan": ("arr", lambda: EmpiricalDistribution.from_samples([1.0, math.nan])),
+    # package objects: a model, a sector, a random stream, a circuit instance
+    "model-components": ("components", lambda: SectorModel(components=5, total_params=1)),
+    "variance-model": ("model", lambda: loss_variance(5)),
+    "welch-model": ("model", lambda: welch_satterthwaite(5)),
+    "kac-rice-comp": ("comp", lambda: kac_rice_log_density(5, 1.0)),
+    "mc-rng": ("rng", lambda: mc_landscape(_comp(), 3, 5)),
+    "haar-rng": ("rng", lambda: haar_group(2, 4, 5)),
+    "loss-batch-rng": ("rng", lambda: sample_loss_batch(_model(), 3, 5)),
+    "regularized-rng": ("rng", lambda: regularized_hessian_sample(_comp(), 5)),
+    "gradient-inst": ("inst", lambda: grad_eval(5)),
 }
 
 

@@ -312,6 +312,20 @@ class TestHaar:
         np.testing.assert_allclose(cols, qr, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("dim,size", [(1, 1), (5, 40), (8, 40)])
+    def test_group_is_all_columns_folded(self, beta, dim, size):
+        # haar_group draws haar_columns with all dim columns from the same
+        # stream; for beta = 1 it then negates the last column exactly where
+        # the determinant is -1, and changes nothing else
+        cols = haar_columns(beta, dim, dim, RngState(dim + 10 * beta), size=size)
+        group = haar_group(beta, dim, RngState(dim + 10 * beta), size=size)
+        if beta == 1:
+            neg = np.linalg.det(cols) < 0
+            assert size == 1 or 0 < neg.sum() < size
+            cols[neg, :, -1] *= -1.0
+        assert group.tobytes() == cols.tobytes()
+
+    @pytest.mark.parametrize("beta", BETAS)
     def test_haar_columns_match_group_slice(self, beta):
         # |first entry|^2 of a frame column vs the same functional of a full
         # group draw

@@ -288,6 +288,25 @@ class TestMcLandscape:
             np.testing.assert_allclose(mc.gradients[s], grad_eval(inst), rtol=0, atol=1e-15)
             np.testing.assert_allclose(mc.hessians[s], hessian_eval(inst), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
+    def test_real_column_signs_leave_frame_reads_unchanged(self, rho):
+        # mc_landscape's frames u are Haar on O(N), not folded onto SO(N): it
+        # reads u only through |u_ij|^2 and u diag(rho) u^T, and negating a
+        # column negates both factors of every product in them
+        spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2, 0, 0, 0],
+                   "full": np.arange(1.0, 7.0) / 21.0}
+        comp = component(beta=1, dim=6, rho=spectra[rho])
+        obs, weights = comp.observable_spectrum, comp.input_spectrum
+        u = haar_columns(1, 6, 6, rng(63), size=20)
+        losses = simulator._fast_losses(1, u, obs, weights).tobytes()
+        rho_t = simulator._conjugate_diag(1, u, weights).tobytes()
+        signs = rng(64).generator.choice([-1.0, 1.0], size=(20, 1, 6))
+        flips = [signs] + [np.where(np.arange(6) == col, -1.0, 1.0) for col in range(6)]
+        for flip in flips:
+            flipped = u * flip
+            assert simulator._fast_losses(1, flipped, obs, weights).tobytes() == losses
+            assert simulator._conjugate_diag(1, flipped, weights).tobytes() == rho_t
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_hessian_leaves_losses_and_gradients_unchanged(self, beta):
         comp = component(beta=beta, dim=6, rho=[0.6, 0.4, 0, 0, 0, 0], params=3)
