@@ -7,8 +7,8 @@ Subcommands:
     minima        tabulate the minima-value density
     trainability  scaling verdict across a family of model sizes
 
-Exit codes: 0 success, 1 invalid input, 2 work refused (over the budget or
-out of memory).
+Exit codes: 0 success, 1 invalid input or an unwritable output path, 2 work
+refused (over the budget or out of memory).
 All CSV floats carry 17 significant digits so replays are byte-identical.
 """
 
@@ -322,7 +322,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (WishartscapeError, ArithmeticError) as exc:
+    except (WishartscapeError, ArithmeticError, OSError) as exc:
+        # an OSError here is an output path that cannot be written; its
+        # message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,14 +51,12 @@ class RngState:
     Wraps numpy's SeedSequence/PCG64 machinery: the same seed always yields
     the same stream, and split() derives independent child streams whose
     draws do not interact with the parent's.  A seed is a nonnegative
-    integer; anything else (a negative or fractional number, a bool, a
-    string) raises ValidationError.
+    integer (split() passes a SeedSequence); anything else (a negative or
+    fractional number, a bool, a string, an RngState) raises ValidationError.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, RngState):
-            self._seq = seed._seq
-        elif isinstance(seed, np.random.SeedSequence):
+        if isinstance(seed, np.random.SeedSequence):
             self._seq = seed
         else:
             self._seq = np.random.SeedSequence(nonnegative_int("seed", seed))

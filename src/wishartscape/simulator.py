@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebra import (SimpleComponent, _object_rule, finite_float, finite_vector,
+from .algebra import (SimpleComponent, _object_rule, finite_vector,
                       nonnegative_int, positive_float, positive_int, simple_component)
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, haar_columns, haar_group, rng_state
@@ -32,7 +32,6 @@ __all__ = [
     "fd_hessian",
     "McLandscape",
     "mc_landscape",
-    "spectrum_from_pauli",
 ]
 
 GRAD_FD_STEP = 1e-5
@@ -390,60 +389,3 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     for start in range(0, n_samples, batch):
         draw(slice(start, min(start + batch, n_samples)))
     return McLandscape(loss_floor=floor, losses=losses, gradients=grads, hessians=hessians)
-
-
-_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-@np.errstate(over="raise")
-def spectrum_from_pauli(terms) -> np.ndarray:
-    """Eigenvalues (ascending) of a sum of weighted Pauli strings.
-
-    terms is an iterable of (coefficient, string) pairs over the alphabet
-    IXYZ; all strings share one length n <= 12, and the dense 2^n matrix is
-    diagonalized directly.
-    """
-    if not np.iterable(terms):
-        raise ValidationError(f"Pauli terms must be a list, got {terms!r}")
-    terms = list(terms)
-    if not terms:
-        raise ValidationError("no Pauli terms given")
-    n_qubits = None
-    total = None
-    for t_index, term in enumerate(terms):
-        try:
-            coeff, word = term
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"term {t_index} must be a (number, string) pair, got {term!r}"
-            ) from None
-        coeff = finite_float(f"term {t_index}: coefficient", coeff)
-        if not isinstance(word, str) or not word:
-            raise ValidationError(f"term {t_index}: Pauli word must be a nonempty string")
-        if n_qubits is None:
-            n_qubits = len(word)
-            if n_qubits > 12:
-                raise ValidationError(
-                    f"Pauli words limited to 12 qubits, got {n_qubits}"
-                )
-        elif len(word) != n_qubits:
-            raise ValidationError(
-                f"term {t_index}: word length {len(word)} differs from {n_qubits}"
-            )
-        mat = np.ones((1, 1), dtype=complex)
-        for pos, ch in enumerate(word):
-            if ch not in _PAULIS:
-                raise ValidationError(
-                    f"term {t_index}: invalid Pauli letter {ch!r} at position {pos}"
-                )
-            mat = np.kron(mat, _PAULIS[ch])
-        try:
-            total = coeff * mat if total is None else total + coeff * mat
-        except FloatingPointError:
-            raise ValidationError("Pauli terms sum to a matrix with non-finite entries") from None
-    return np.linalg.eigvalsh(total)

@@ -125,18 +125,18 @@ def rank1_gamma_params(comp: SimpleComponent, *, shift: bool = True) -> tuple[fl
     return beta_dof / 2.0, mean * 2.0 / beta_dof
 
 
-def loss_pdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarray:
+def loss_pdf_rank1(comp: SimpleComponent, z) -> np.ndarray:
     """Normalized loss density for a rank-one input sector.
 
     Gamma with shape beta * r / 2 and mean I * obar * tr(rho); the mode sits
     at I * obar * (beta r - 2) / (beta r) * tr(rho) once beta r > 2.
     """
-    k, scale = rank1_gamma_params(comp, shift=shift)
+    k, scale = rank1_gamma_params(comp)
     return _gamma_pdf(z, k, scale)
 
 
-def loss_cdf_rank1(comp: SimpleComponent, z, *, shift: bool = True) -> np.ndarray:
-    k, scale = rank1_gamma_params(comp, shift=shift)
+def loss_cdf_rank1(comp: SimpleComponent, z) -> np.ndarray:
+    k, scale = rank1_gamma_params(comp)
     return _gamma_cdf(z, k, scale)
 
 

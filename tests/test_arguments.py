@@ -77,6 +77,7 @@ PROBES = {
     "variance-model": ("model", lambda: loss_variance(5)),
     "welch-model": ("model", lambda: welch_satterthwaite(5)),
     "kac-rice-comp": ("comp", lambda: kac_rice_log_density(5, 1.0)),
+    "rng-from-rng": ("seed", lambda: RngState(RngState(1))),
     "mc-rng": ("rng", lambda: mc_landscape(_comp(), 3, 5)),
     "haar-rng": ("rng", lambda: haar_group(2, 4, 5)),
     "loss-batch-rng": ("rng", lambda: sample_loss_batch(_model(), 3, 5)),

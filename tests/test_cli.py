@@ -126,6 +126,21 @@ class TestParsing:
             assert part in err
 
 
+# an --out that cannot be a directory: a file, and a path below a file
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("argv", [["sample", "--samples", "2"],
+                                  ["simulate", "--samples", "2"],
+                                  ["minima", "--grid", "256"]], ids=lambda argv: argv[0])
+def test_unwritable_out_is_located(argv, below, rank1_model, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    assert main([*argv, "--model", str(rank1_model), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(out) in err
+
+
 class TestAnalyze:
     def test_report_contents(self, rank1_model, capsys):
         assert main(["analyze", "--model", str(rank1_model)]) == 0

@@ -216,6 +216,72 @@ class TestModelFromDict:
         assert str(err.value).startswith("somewhere.json: component 0: field 'dim':")
 
 
+def pauli_doc(terms):
+    out = doc()
+    out["components"][1] = {"field": "C", "dim": 4, "index": 1,
+                            "observable_spectrum": {"pauli": terms},
+                            "input_spectrum": {"pure": True}, "sector_params": 6}
+    return out
+
+
+# (document, exact message, component, field) for the refusals that no
+# pattern above spells out in full
+EXACT = {
+    "components-empty": (doc(components=[]), "'components' must be a nonempty list",
+                         None, None),
+    "component-int": (doc(components=[3]), "component 0: component must be an object",
+                      0, None),
+    "field-symbol": (comp_doc(field="Q"), "component 0: field 'field': field symbol must "
+                     "be one of 'R', 'C', 'H', got 'Q'", 0, "field"),
+    "dim-float": (comp_doc(dim=4.0), "component 0: field 'dim': dim must be a positive "
+                  "integer, got 4.0", 0, "dim"),
+    "index-string": (comp_doc(index="x"), "component 0: index must be a finite number "
+                     ">= 1, got 'x'", 0, None),
+    "observable-constant": (comp_doc(observable_spectrum=[2.0] * 4),
+                            "component 0: field 'observable_spectrum': observable spectrum "
+                            "is constant after zero-shifting; its fluctuation statistics "
+                            "are undefined", 0, "observable_spectrum"),
+    "pauli-constant": (pauli_doc([[1.0, "II"]]),
+                       "component 1: field 'observable_spectrum': observable spectrum "
+                       "is constant after zero-shifting; its fluctuation statistics "
+                       "are undefined", 1, "observable_spectrum"),
+    "pauli-word-length": (pauli_doc([[1.0, "ZZ"], [1.0, "Z"]]),
+                          "component 1: field 'observable_spectrum': term 1: word length "
+                          "1 differs from 2", 1, "observable_spectrum"),
+    "pauli-not-a-list": (pauli_doc(5), "component 1: field 'observable_spectrum': Pauli "
+                         "terms must be a list, got 5", 1, "observable_spectrum"),
+    "total-params-zero": (doc(total_params=0), "total_params must be a positive integer, "
+                          "got 0", None, None),
+    "total-params-bool": (doc(total_params=True), "total_params must be a positive "
+                          "integer, got True", None, None),
+    "total-params-budget": (doc(total_params=3), "sector parameter counts sum to 16, "
+                            "exceeding total_params 3", None, None),
+    "sector-params-negative": (comp_doc(sector_params=-1), "component 0: sector_params "
+                               "must be a nonnegative integer, got -1", 0, None),
+    "sector-params-bool": (comp_doc(sector_params=True), "component 0: sector_params "
+                           "must be a nonnegative integer, got True", 0, None),
+    # counts are JSON integers, as dim is: a whole float is refused at its field
+    "total-params-float": (doc(total_params=16.0), "field 'total_params': total_params "
+                           "must be a positive integer, got 16.0", None, "total_params"),
+    "sector-params-float": (comp_doc(sector_params=10.0), "component 0: field "
+                            "'sector_params': sector_params must be a nonnegative "
+                            "integer, got 10.0", 0, "sector_params"),
+    "sector-params-negative-float": (comp_doc(sector_params=-1.0), "component 0: field "
+                                     "'sector_params': sector_params must be a "
+                                     "nonnegative integer, got -1.0", 0, "sector_params"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT))
+def test_exact_message_and_location(case):
+    d, message, component, field = EXACT[case]
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(d, path="m.json")
+    assert str(err.value) == f"m.json: {message}"
+    assert (err.value.path, err.value.component, err.value.field) == \
+        ("m.json", component, field)
+
+
 class TestLoadModel:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "model.json"
@@ -236,6 +302,14 @@ class TestLoadModel:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read file"):
             load_model(tmp_path / "nope.json")
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(ModelFormatError) as err:
+            load_model(tmp_path)
+        assert isinstance(err.value.__cause__, IsADirectoryError)
+        assert str(err.value) == f"{tmp_path}: cannot read file: {err.value.__cause__}"
+        assert (err.value.path, err.value.component, err.value.field) == \
+            (str(tmp_path), None, None)
 
     def test_invalid_json_has_position(self, tmp_path):
         p = tmp_path / "broken.json"
