@@ -158,6 +158,11 @@ def _flat_list(spec, at, key: str) -> np.ndarray:
         raise at(f"not a numeric array: {exc}", field=key) from exc
     if arr.ndim != 1:
         raise at(f"must be a flat list of numbers, got shape {arr.shape}", field=key)
+    # true, false, numeric strings and null convert above; numpy reads a
+    # list mixing true with numbers as integers, so no vector rule sees them
+    for i, v in enumerate(spec):
+        if type(v) not in (int, float):
+            raise at(f"entry {i} is {v!r}, not a JSON number", field=key)
     return arr
 
 

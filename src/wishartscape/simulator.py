@@ -2,10 +2,12 @@
 
 One sector at a time: the circuit is U = g0^dagger (prod_i g_i e^{theta_i A_i}
 g_i^dagger) h with g0, h and every g_i independently Haar over the sector's
-compact group, A_i a fixed canonical anti-Hermitian generator, and the loss
-index * Re tr(rho U^dagger O U) with rho and O diagonal in their stored
-eigenbases.  Derivatives are evaluated analytically at theta = 0 through
-commutator traces; finite-difference versions exist for cross-checking.
+compact group, A_i an anti-Hermitian unit generator (build_ansatz takes the
+canonical one), and the loss index * Re tr(rho U^dagger O U) with rho and O
+diagonal in their stored eigenbases.  The loss and both derivatives read the
+generators the instance holds: the loss through the closed-form exponential,
+the derivatives analytically at theta = 0 through commutator traces;
+finite-difference versions exist for cross-checking.
 """
 
 from __future__ import annotations
@@ -75,26 +77,64 @@ def canonical_generator(comp: SimpleComponent, which: int) -> np.ndarray:
     return a
 
 
-def _exp_generator(comp: SimpleComponent, which: int, theta: float) -> np.ndarray:
-    """Closed-form exponential of theta times the canonical generator: the
-    identity with its k x k corner set to cos(theta) I + sin(theta) J."""
-    beta = comp.beta
-    j = _generator_block(comp, which)
-    k = j.shape[0]
-    m = field.eye(beta, comp.dim)
-    m[:k, :k] = np.cos(theta) * field.eye(beta, k) + np.sin(theta) * j
-    return m
+def _exp_unit(beta: int, a: np.ndarray, theta: float) -> np.ndarray:
+    """exp(theta a) for a unit generator a (a^dagger = -a, a^3 = -a).
+
+    P = -a^2 projects onto the span a rotates, and the series of the
+    exponential sums to (I - P) + cos(theta) P + sin(theta) a.
+    """
+    p = -field.matmul(beta, a, a)
+    return (field.eye(beta, len(a)) - p) + np.cos(theta) * p + np.sin(theta) * a
+
+
+_UNIT_TOL = 1e-10
+
+
+def _is_unit(beta: int, a, shape: tuple) -> bool:
+    """Whether a is a numeric array of the shape given whose a^dagger + a and
+    a^3 + a have no entry above _UNIT_TOL in modulus."""
+    if np.shape(a) != shape:
+        return False
+    try:
+        a2 = field.matmul(beta, a, a)
+        defect = max(np.max(np.abs(field.adjoint(beta, a) + a)),
+                     np.max(np.abs(field.matmul(beta, a2, a) + a)))
+    except (TypeError, ValueError):
+        return False
+    return bool(defect <= _UNIT_TOL)
 
 
 @dataclass(frozen=True)
 class AnsatzInstance:
-    """One randomized circuit: canonical generators and their Haar frames."""
+    """One randomized circuit: unit generators and their Haar frames.
+
+    Layer i is conjugators[i] exp(theta_i generators[i]) conjugators[i]^dagger.
+    Every generator must be a dim x dim unit generator over the sector's
+    field, anti-Hermitian with a^3 = -a (eigenvalues 0 and +-i), as every
+    canonical_generator and each of its unitary conjugates is; construction
+    refuses a generator whose a^dagger + a or a^3 + a has an entry above
+    1e-10, and a conjugator count other than the generator count.
+    """
 
     component: SimpleComponent
     generators: tuple[np.ndarray, ...] = dc_field(repr=False)
     conjugators: tuple[np.ndarray, ...] = dc_field(repr=False)
     state_frame: np.ndarray = dc_field(repr=False)
     observable_frame: np.ndarray = dc_field(repr=False)
+
+    def __post_init__(self):
+        comp = simple_component("component", self.component)
+        p, c = len(self.generators), len(self.conjugators)
+        if p != c:
+            raise ValidationError(
+                f"AnsatzInstance needs one conjugator per generator, got {p} generators "
+                f"and {c} conjugators")
+        shape = field.eye(comp.beta, comp.dim).shape
+        for i, a in enumerate(self.generators):
+            if not _is_unit(comp.beta, a, shape):
+                raise ValidationError(
+                    f"generators[{i}] must be a unit generator (a^dagger = -a, a^3 = -a "
+                    f"within {_UNIT_TOL}) of shape {shape}")
 
     @property
     def n_params(self) -> int:
@@ -140,7 +180,7 @@ def loss_eval(inst: AnsatzInstance, theta) -> float:
     rho_t, obs_t = _frames(inst)
     v = field.eye(beta, comp.dim)
     for i, t in enumerate(theta):
-        layer = _conjugate(beta, inst.conjugators[i], _exp_generator(comp, i, float(t)))
+        layer = _conjugate(beta, inst.conjugators[i], _exp_unit(beta, inst.generators[i], t))
         v = field.matmul(beta, v, layer)
     m = field.matmul(beta, field.matmul(beta, field.adjoint(beta, v), obs_t), v)
     return float(comp.index * field.re_trace_prod(beta, rho_t, m))

@@ -269,6 +269,26 @@ EXACT = {
     "sector-params-negative-float": (comp_doc(sector_params=-1.0), "component 0: field "
                                      "'sector_params': sector_params must be a "
                                      "nonnegative integer, got -1.0", 0, "sector_params"),
+    # spectrum entries are JSON numbers: true, false, numeric strings and
+    # null convert to floats, but are refused at their field
+    "observable-booleans": (comp_doc(observable_spectrum=[True, False, True, False]),
+                            "component 0: field 'observable_spectrum': entry 0 is True, "
+                            "not a JSON number", 0, "observable_spectrum"),
+    "observable-numeric-strings": (comp_doc(observable_spectrum=["1", "0.5", "2", "0"]),
+                                   "component 0: field 'observable_spectrum': entry 0 is "
+                                   "'1', not a JSON number", 0, "observable_spectrum"),
+    "observable-null": (comp_doc(observable_spectrum=[0.0, None, 2.0, 3.0]),
+                        "component 0: field 'observable_spectrum': entry 1 is None, not a "
+                        "JSON number", 0, "observable_spectrum"),
+    "input-booleans": (comp_doc(input_spectrum=[True, False, True, False]),
+                       "component 0: field 'input_spectrum': entry 0 is True, not a JSON "
+                       "number", 0, "input_spectrum"),
+    "input-numeric-strings": (comp_doc(input_spectrum=["1", "0.5", "2", "0"]),
+                              "component 0: field 'input_spectrum': entry 0 is '1', not a "
+                              "JSON number", 0, "input_spectrum"),
+    "input-mixed-boolean": (comp_doc(input_spectrum=[0.5, 0.3, True, 0]),
+                            "component 0: field 'input_spectrum': entry 2 is True, not a "
+                            "JSON number", 0, "input_spectrum"),
 }
 
 

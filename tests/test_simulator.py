@@ -39,7 +39,7 @@ from wishartscape.simulator import (
     HESS_FD_STEP,
     AnsatzInstance,
     _auto_batch,
-    _exp_generator,
+    _exp_unit,
     canonical_generator,
 )
 
@@ -54,6 +54,21 @@ def _unitarity_defect(beta, u):
 
 def _neg(a):
     return -a
+
+
+def _conjugated_unit_instance(beta, comp, seed):
+    # generators G J G^dagger, G the first k columns of a Haar frame and J
+    # the generator block, with identity conjugators: the construction
+    # test_batched_derivatives_match_instance_formulas hands the formulas
+    r = rng(seed)
+    blocks = [field.generator_block(beta, i) for i in range(comp.sector_params)]
+    frames = haar_columns(beta, comp.dim, blocks[0].shape[0], r, size=len(blocks))
+    gens = tuple(field.matmul(beta, field.matmul(beta, g, j), field.adjoint(beta, g))
+                 for g, j in zip(frames, blocks))
+    ident = field.eye(beta, comp.dim)
+    return AnsatzInstance(component=comp, generators=gens, conjugators=(ident,) * len(gens),
+                          state_frame=haar_group(beta, comp.dim, r),
+                          observable_frame=haar_group(beta, comp.dim, r))
 
 
 class TestAnsatz:
@@ -95,10 +110,48 @@ class TestAnsatz:
         g = np.random.default_rng(5)
         thetas = np.concatenate([g.uniform(-10.0, 10.0, 2000), g.normal(size=200) * 1e-8,
                                  [0.0, -0.0, np.pi / 2, -np.pi, 2 * np.pi]])
-        got = np.array([_exp_generator(comp, 0, float(t))[0, 0] for t in thetas])
+        a = canonical_generator(comp, 0)
+        got = np.array([_exp_unit(2, a, float(t))[0, 0] for t in thetas])
         want = np.exp(1j * thetas)
         np.testing.assert_array_equal(got.view(np.float64), want.view(np.float64))
         assert not np.any(np.signbit(got.view(np.float64)) ^ np.signbit(want.view(np.float64)))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_closed_form_exponential_matches_series(self, beta):
+        # exp(theta A) summed term by term, for canonical and conjugated
+        # unit generators
+        comp = component(beta=beta, dim=5, params=2)
+        inst = _conjugated_unit_instance(beta, comp, 7)
+        ident = field.eye(beta, 5)
+        for a in (canonical_generator(comp, 1), *inst.generators):
+            for theta in (0.3, -2.4):
+                term, total = ident, ident
+                for n in range(1, 40):
+                    term = field.matmul(beta, term, a) * (theta / n)
+                    total = total + term
+                np.testing.assert_allclose(_exp_unit(beta, a, theta), total, atol=1e-13)
+
+    def test_instance_needs_one_conjugator_per_generator(self):
+        comp = component(beta=2, dim=4, params=2)
+        inst = build_ansatz(comp, rng(0))
+        with pytest.raises(ValidationError, match="one conjugator per generator, got 2 "
+                           "generators and 1 conjugators"):
+            AnsatzInstance(component=comp, generators=inst.generators,
+                           conjugators=inst.conjugators[:1], state_frame=inst.state_frame,
+                           observable_frame=inst.observable_frame)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("bad", ["scaled", "hermitian", "shape", "text"])
+    def test_instance_refuses_non_unit_generator(self, beta, bad):
+        comp = component(beta=beta, dim=4, params=2)
+        inst = build_ansatz(comp, rng(0))
+        a = inst.generators[1]
+        wrong = {"scaled": 2.0 * a, "hermitian": field.matmul(beta, a, a),
+                 "shape": a[:3, :3], "text": np.full(a.shape, "x")}[bad]
+        with pytest.raises(ValidationError, match=r"generators\[1\] must be a unit generator"):
+            AnsatzInstance(component=comp, generators=(a, wrong),
+                           conjugators=inst.conjugators, state_frame=inst.state_frame,
+                           observable_frame=inst.observable_frame)
 
     def test_real_dim_one_rejected(self):
         comp = component(beta=1, dim=1, obs=[1.0], rho=[1.0], params=1)
@@ -153,10 +206,11 @@ class TestLossEval:
             val = loss_eval(inst, g.normal(size=2))
             assert lo - 1e-12 <= val <= hi + 1e-12
 
-    def test_parameter_shift_preserves_law(self):
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_parameter_shift_preserves_law(self, beta):
         # the Haar-framed circuit at any fixed theta has the same loss law
         # as at theta = 0
-        comp = component(beta=2, dim=8, params=3)
+        comp = component(beta=beta, dim=8, params=3)
         n = 1200
         at_zero = np.empty(n)
         at_theta = np.empty(n)
@@ -185,6 +239,20 @@ class TestDerivatives:
         comp = component(beta=beta, dim=5, rho=[0.7, 0.3, 0, 0, 0], params=3)
         for seed in range(3):
             inst = build_ansatz(comp, rng(200 + seed))
+            np.testing.assert_allclose(
+                hessian_eval(inst), fd_hessian(inst, HESS_FD_STEP), atol=1e-5
+            )
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_finite_differences_read_instance_generators(self, beta):
+        # loss_eval exponentiates the generators the instance holds, so the
+        # finite differences of a G J G^dagger instance match the formulas
+        comp = component(beta=beta, dim=5, rho=[0.5, 0.3, 0.2, 0, 0], index=1.5, params=2)
+        for seed in range(3):
+            inst = _conjugated_unit_instance(beta, comp, 300 + seed)
+            np.testing.assert_allclose(
+                grad_eval(inst), fd_gradient(inst, GRAD_FD_STEP), atol=1e-8
+            )
             np.testing.assert_allclose(
                 hessian_eval(inst), fd_hessian(inst, HESS_FD_STEP), atol=1e-5
             )
