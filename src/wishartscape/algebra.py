@@ -90,6 +90,7 @@ nonnegative = _float_rule(lambda v: v >= 0, "nonnegative (inf allowed)")
 index_float = _float_rule(lambda v: math.isfinite(v) and v >= 1, "a finite number >= 1")
 finite_float = _float_rule(math.isfinite, "a finite number")
 _FLOAT = np.dtype(float)
+_TINY = 2.2250738585072014e-308  # sys.float_info.min, the smallest normal float
 
 
 def _floats(values) -> np.ndarray | None:
@@ -219,7 +220,11 @@ class SimpleComponent:
         if not isinstance(self.field, FieldTag):
             object.__setattr__(self, "field", FieldTag(self.field))
         object.__setattr__(self, "dim", positive_int("dim", self.dim))
-        object.__setattr__(self, "index", index_float("index", self.index))
+        index = index_float("index", self.index)
+        # the closed forms take the index up to its cube (gp_conditions)
+        if not math.isfinite(index * index * index):
+            raise ValidationError(f"index must be a number whose cube is finite, got {index!r}")
+        object.__setattr__(self, "index", index)
         obs = np.sort(finite_vector("observable_spectrum", self.observable_spectrum, self.dim))
         inp = np.sort(weights("input_spectrum", self.input_spectrum, self.dim))[::-1]
         object.__setattr__(self, "sector_params",
@@ -307,7 +312,8 @@ def spectral_stats(spectrum, *, shift: bool = True) -> SpectralStats:
     """Spectral summary after the zero-shift (disable with shift=False).
 
     A spectrum that is constant (so the shifted spectrum vanishes) carries no
-    usable dispersion and raises DegenerateObservableError.  With shift=False
+    usable dispersion and raises DegenerateObservableError, as does one whose
+    squared shifted values overflow or underflow the float range.  With shift=False
     the caller asserts the spectrum is already anchored; flat spectra are then
     legal and give dof_real = dim.  A SimpleComponent keeps its zero-shifted
     summary after the first call.
@@ -331,10 +337,22 @@ def _sector_law(comp: SimpleComponent, *, shift: bool = True) -> tuple[float, fl
 def _summarize(spectrum, *, shift: bool) -> SpectralStats:
     eigs = finite_vector("spectrum", spectrum)
     floor = float(np.min(eigs)) if shift else 0.0
-    shifted = eigs - floor
-    trace = float(np.sum(shifted))
-    trace_sq = float(np.sum(shifted * shifted))
-    if trace_sq <= 0.0:
+    # an overflow is refused below, by its cause, rather than warned about
+    with np.errstate(over="ignore"):
+        shifted = eigs - floor
+        trace = float(np.sum(shifted))
+        trace_sq = float(np.sum(shifted * shifted))
+    if not (math.isfinite(trace * trace) and math.isfinite(trace_sq)):
+        raise DegenerateObservableError(
+            "observable spectrum spans too wide a range: the squares of its "
+            "zero-shifted values overflow the float range"
+        )
+    if trace_sq < _TINY:
+        if np.any(shifted):
+            raise DegenerateObservableError(
+                "observable spectrum spans too narrow a range: the squares of "
+                "its zero-shifted values underflow the float range"
+            )
         raise DegenerateObservableError(
             "observable spectrum is constant after zero-shifting; "
             "its fluctuation statistics are undefined"

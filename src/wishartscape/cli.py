@@ -107,7 +107,12 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("minima", help="tabulate the minima-value density")
     p.add_argument("--model", required=True)
-    p.add_argument("--grid", type=int, default=4096, help="density grid resolution")
+    p.add_argument("--grid", type=int, default=4096,
+                   help="density grid resolution: steps per summed sector mean; "
+                   "the grid has about grid*(1 + 12 sd/mean) points, and each "
+                   "extra underparameterized sector costs about points^2/2 "
+                   "multiply-adds (0.02 s at 4096, 0.25 s at 16384 on a "
+                   "two-sector model)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_minima)
 

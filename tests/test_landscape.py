@@ -27,7 +27,8 @@ from wishartscape import (
     trainability_verdict,
     welch_satterthwaite,
 )
-from wishartscape.landscape import _ols_slope
+from wishartscape.landscape import (_CONV_BLOCK, _causal_convolve, _gamma_factor_on_grid,
+                                    _ols_slope)
 
 # frozen in tests/oracles/mp_log_moment_oracle.py
 MP_LOG_HALF = -0.30685281944005469
@@ -162,6 +163,90 @@ class TestMinimaDensity:
     def test_grid_must_be_a_count(self, bad):
         with pytest.raises(ValidationError, match="^n_grid must be a positive integer"):
             build_minima_density(single_model(component(dim=4, params=1)), n_grid=bad)
+
+
+# Rounding bound for the kernel against np.convolve, derived, not fitted.
+# Entry k of the causal convolution is c_k = sum_{j <= k} a_j v_{k-j}.  An
+# inner product of m terms x_i y_i, evaluated in any order with separate or
+# fused multiply-adds and without underflow, is off by at most
+# gamma_m sum |x_i y_i|, gamma_m = m u / (1 - m u), u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5).  Here
+# the terms are nonnegative, so that sum is c_k itself.  np.convolve sums
+# k + 1 terms; the kernel sums (k // B + 1) B, the extra ones exact zeros of
+# the padding.  With m the larger count both results lie within gamma_m c_k
+# of c_k, so |kernel - oracle| <= 2 gamma_m c_k <= 2 gamma_m / (1 - gamma_m)
+# oracle.
+U = 2.0**-53
+
+
+def gamma_m(m):
+    return m * U / (1.0 - m * U)
+
+
+def entry_bound(n):
+    g = gamma_m((np.arange(n) // _CONV_BLOCK + 1) * _CONV_BLOCK)
+    return 2.0 * g / (1.0 - g)
+
+
+def assert_within_rounding(got, oracle, bound):
+    assert np.all(got >= 0.0)
+    np.testing.assert_array_equal(got == 0.0, oracle == 0.0)
+    pos = oracle > 0.0
+    assert np.all(np.abs(got[pos] - oracle[pos]) <= bound[pos] * oracle[pos])
+
+
+def gamma_factors(n):
+    """Grid factors of a beta r = 1 sector (origin-cell fix) and a smooth one,
+    on n points reaching about twice the larger mean."""
+    singular = component(beta=1, dim=8, obs=[0, 0, 0, 0, 0, 0, 0, 1.0])
+    smooth = component(beta=2, dim=16, params=8)
+    step = 2.0 * max(spectral_stats(c).mean_eig for c in (singular, smooth)) / max(n, 2)
+    grid = np.arange(n) * step
+    return [_gamma_factor_on_grid(c, grid, step) for c in (singular, smooth)]
+
+
+class TestCausalConvolve:
+    B = _CONV_BLOCK
+    SIZES = [1, 2, B - 1, B, B + 1, 3 * B + 7]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_nonnegative_vectors(self, n):
+        gen = np.random.default_rng(n)
+        a, v = gen.random(n), gen.random(n)
+        # runs of exact zeros, so the zero pattern of the output is tested too
+        a[n // 3:n // 2] = 0.0
+        v[:n // 4] = 0.0
+        assert_within_rounding(_causal_convolve(a, v), np.convolve(a, v)[:n], entry_bound(n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gamma_factors(self, n):
+        singular, smooth = gamma_factors(n)
+        assert singular[0] > 0.0   # the origin cell is the finite fix
+        for a, v in ((singular, smooth), (smooth, singular), (smooth, smooth)):
+            assert_within_rounding(_causal_convolve(a, v), np.convolve(a, v)[:n],
+                                   entry_bound(n))
+
+    def test_three_sectors_match_successive_convolutions(self):
+        comps = (component(beta=1, dim=8, obs=[0, 0, 0, 0, 0, 1.0, 1.0, 2.0], params=0),
+                 component(beta=2, dim=6, obs=[0, 0.5, 1, 2, 2, 3], params=4),
+                 component(beta=4, dim=4, obs=[0, 1, 1, 4], index=2.0, params=2))
+        model = SectorModel(components=comps, total_params=6)
+        assert np.all(overparameterization_ratios(model) < 1.0)
+        density = build_minima_density(model)
+        grid = density.z_grid
+        n, step = grid.size, grid[1]
+        factors = [_gamma_factor_on_grid(c, grid, step) for c in comps]
+        oracle = factors[0]
+        for factor in factors[1:]:
+            oracle = np.convolve(oracle, factor)[:n] * step
+        # per stage each route is within (1 + gamma_m)(1 + u) of the exact
+        # convolution of its own input, and a relative deviation of the input
+        # passes through a nonnegative convolution unchanged
+        g = gamma_m(n + self.B)
+        stage = (1.0 + g) * (1.0 + U) / ((1.0 - g) * (1.0 - U))
+        bound = np.full(n, stage ** (len(comps) - 1) - 1.0)
+        assert_within_rounding(density.density, oracle, bound)
+        assert abs(density.mass - np.trapezoid(oracle, grid)) <= 1e-12
 
 
 class TestWelchSatterthwaite:

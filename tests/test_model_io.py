@@ -241,6 +241,16 @@ EXACT = {
                             "component 0: field 'observable_spectrum': observable spectrum "
                             "is constant after zero-shifting; its fluctuation statistics "
                             "are undefined", 0, "observable_spectrum"),
+    "observable-overflow": (comp_doc(observable_spectrum=[1e308, 1e308, 1e308, -1e308]),
+                            "component 0: field 'observable_spectrum': observable spectrum "
+                            "spans too wide a range: the squares of its zero-shifted values "
+                            "overflow the float range", 0, "observable_spectrum"),
+    "observable-underflow": (comp_doc(observable_spectrum=[0, 1e-300, 2e-300, 3e-300]),
+                             "component 0: field 'observable_spectrum': observable spectrum "
+                             "spans too narrow a range: the squares of its zero-shifted "
+                             "values underflow the float range", 0, "observable_spectrum"),
+    "index-cube-overflow": (comp_doc(index=1e200), "component 0: index must be a number "
+                            "whose cube is finite, got 1e+200", 0, None),
     "pauli-constant": (pauli_doc([[1.0, "II"]]),
                        "component 1: field 'observable_spectrum': observable spectrum "
                        "is constant after zero-shifting; its fluctuation statistics "
