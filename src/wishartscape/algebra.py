@@ -227,6 +227,12 @@ class SimpleComponent:
         object.__setattr__(self, "index", index)
         obs = np.sort(finite_vector("observable_spectrum", self.observable_spectrum, self.dim))
         inp = np.sort(weights("input_spectrum", self.input_spectrum, self.dim))[::-1]
+        # and the input weights up to their cube, each at most the trace's; a
+        # float sum, as it overflows to inf without a warning
+        trace = sum(inp.tolist())
+        if not math.isfinite(trace * trace * trace):
+            raise ValidationError(
+                f"input_spectrum must have a trace whose cube is finite, got {trace!r}")
         object.__setattr__(self, "sector_params",
                            nonnegative_int("sector_params", self.sector_params))
         obs.setflags(write=False)

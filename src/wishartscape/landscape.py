@@ -41,6 +41,21 @@ __all__ = [
 ]
 
 
+def _in_range(sector: int | None, quantity: str, compute) -> float:
+    """compute(), a product of model fields, refused with a ValidationError
+    naming the sector (None: the model) and the quantity once it leaves the
+    float range: a float power then raises OverflowError, a product gives
+    inf."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        where = "model" if sector is None else f"sector {sector}"
+        raise ValidationError(f"{where}: {quantity} overflows the float range")
+    return value
+
+
 def _covariance(comp: SimpleComponent, overlap: float) -> float:
     """Loss covariance of the sector between its input and a co-diagonal one
     whose weights pair with it to `overlap`; at Tr(rho^2) the variance."""
@@ -67,7 +82,9 @@ def loss_variance(model: SectorModel) -> float:
     2N^2 - N - 1 for beta = 1, 2, 4.  For a pure input kappa tends to
     1 - r/N as N grows, not to 1.
     """
-    return float(sum(_component_variance(c) for c in sector_model("model", model).components))
+    comps = sector_model("model", model).components
+    return float(sum(_in_range(a, "the loss variance",
+                               lambda: _component_variance(c)) for a, c in enumerate(comps)))
 
 
 def overparameterization_ratios(model: SectorModel) -> np.ndarray:
@@ -149,11 +166,16 @@ def _underparameterized_moments(
     """Underparameterized sectors with the means and variances of their
     gamma factors in the minima law."""
     ratios = overparameterization_ratios(model)
-    under = [c for c, g in zip(model.components, ratios) if g < 1.0]
-    laws = [_sector_law(c) for c in under]
-    means = np.array([mean for mean, _ in laws])
-    variances = np.array([mean**2 * 2.0 / beta_dof for mean, beta_dof in laws])
-    return under, means, variances
+    under, means, variances = [], [], []
+    for a, (comp, gamma) in enumerate(zip(model.components, ratios)):
+        if gamma < 1.0:
+            mean, beta_dof = _sector_law(comp)
+            under.append(comp)
+            means.append(mean)
+            variances.append(_in_range(
+                a, "the variance 2 mean^2 / (beta r) of its minima-law factor",
+                lambda: mean**2 * 2.0 / beta_dof))
+    return under, np.array(means), np.array(variances)
 
 
 def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensity:
@@ -268,20 +290,17 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
     variance_exponent = nonnegative("variance_exponent", variance_exponent)
     cumulant_threshold = positive("cumulant_threshold", cumulant_threshold)
     norm = sector_model("model", model).normalization
-    variance_term = norm**2 * loss_variance(model)
+    variance_term = _in_range(None, "normalization^2 times the loss variance",
+                              lambda: norm**2 * loss_variance(model))
     n_max = max(c.dim for c in model.components)
     variance_floor = float(n_max) ** -variance_exponent
     cumulant_term = 0.0
-    for comp in model.components:
+    for a, comp in enumerate(model.components):
         st = spectral_stats(comp)
         rho3 = float(np.sum(comp.input_spectrum**3))
-        term = (
-            norm**3
-            * comp.index**3
-            * st.mean_eig**3
-            * rho3
-            / st.dof_real**2
-        )
+        term = _in_range(
+            a, "the third-cumulant scale normalization^3 index^3 obar^3 tr(rho^3) / r^2",
+            lambda: norm**3 * comp.index**3 * st.mean_eig**3 * rho3 / st.dof_real**2)
         cumulant_term = max(cumulant_term, term)
     variance_ok = variance_term >= variance_floor
     cumulant_ok = cumulant_term <= cumulant_threshold

@@ -178,13 +178,15 @@ def _qr_frames(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :].conj()
 
 
-def _stiefel_batch(beta: int, dim: int, k: int, size: int, rng: RngState) -> np.ndarray:
-    """First k columns of size Haar matrices over the field addressed by beta.
-    One column is its Gaussian normalized, which is exactly its gauged QR."""
-    g = _gauss(beta, (size, dim, k), rng)
-    if k == 1:
-        norm = np.linalg.norm(g.reshape(size, -1), axis=1)
-        return g / norm.reshape((size,) + (1,) * (g.ndim - 1))
+def _stiefel_batch(beta: int, g: np.ndarray) -> np.ndarray:
+    """Gauged QR of a batch of standard Gaussian dim x k matrices g over the
+    field addressed by beta, shaped (size, dim, k): the first k columns of
+    size Haar matrices.  g may be the leading k columns of a wider Gaussian
+    batch, which are Gaussian too.  One column is its Gaussian normalized,
+    which is exactly its gauged QR."""
+    if g.shape[2] == 1:
+        norm = np.linalg.norm(g.reshape(len(g), -1), axis=1)
+        return g / norm.reshape((len(g),) + (1,) * (g.ndim - 1))
     return field.unembed_complex(beta, _qr_frames(field.embed_complex(beta, g)))
 
 
@@ -200,7 +202,7 @@ def haar_group(beta: int, dim: int, rng: RngState, size: int | None = None) -> n
     beta = beta_of(beta)
     dim = positive_int("dim", dim)
     n = 1 if size is None else positive_int("size", size)
-    batch = _stiefel_batch(beta, dim, dim, n, rng)
+    batch = _stiefel_batch(beta, _gauss(beta, (n, dim, dim), rng))
     if beta == 1:
         neg = np.linalg.det(batch) < 0
         batch[neg, :, -1] *= -1.0
@@ -220,7 +222,7 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
     if n_cols > dim:
         raise ValidationError(f"n_cols {n_cols} exceeds dim {dim}")
     n = 1 if size is None else positive_int("size", size)
-    out = _stiefel_batch(beta, dim, n_cols, n, rng)
+    out = _stiefel_batch(beta, _gauss(beta, (n, dim, n_cols), rng))
     return out[0] if size is None else out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (SimpleComponent, _object_rule, finite_vector,
                       nonnegative_int, positive_float, positive_int, simple_component)
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, haar_columns, haar_group, rng_state
+from .randmat import RngState, _gauss, _stiefel_batch, haar_columns, haar_group, rng_state
 from . import field
 
 __all__ = [
@@ -356,12 +356,22 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     formula hessian_eval uses.  The instance-by-instance route (build_ansatz
     with loss_eval, grad_eval and hessian_eval) stays as the tests' oracle.
 
-    The Haar matrices u come from rng's stream, drawn by haar_columns with
-    all dim columns: Haar on O(N), U(N) or Sp(N), without haar_group's fold
-    of beta = 1 draws onto SO(N).  Nothing here reads the fold: u enters only
-    through |u_ij|^2 and u diag(rho) u^dagger, and negating a real column
-    negates both factors of every product in them, which IEEE rounding keeps
-    exact, so every output is the one the folded draw gives, bit for bit.
+    The Haar matrices u come from rng's stream as the gauged QR of one
+    dim x dim Gaussian each, haar_columns' kernel: Haar on O(N), U(N) or
+    Sp(N), without haar_group's fold of beta = 1 draws onto SO(N).  Nothing
+    here reads the fold: u enters only through |u_ij|^2 and
+    u diag(rho) u^dagger, and negating a real column negates both factors of
+    every product in them, which IEEE rounding keeps exact, so every output
+    is the one the folded draw gives, bit for bit.  A call that collects
+    losses only reads u through the rank(rho) columns the input reaches, the
+    first ones as rho is stored descending, so it orthonormalizes only those:
+    the gauged QR of the first k Gaussian columns is distributed as the first
+    k columns of a Haar matrix (Mezzadri 2007).  It still draws the whole
+    dim x dim Gaussian, so rng's stream moves as far as
+    haar_columns(beta, dim, dim, rng, size=n_samples) moves it, and a
+    loss-only call sees the Haar matrices of a call collecting gradients on
+    the same seed, up to the QR's rounding; at full rank the two are equal
+    bit for bit.
 
     When gradients or Hessians are collected the frames G come from one
     child stream, spawned once per call from rng's seed sequence
@@ -398,6 +408,9 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
         obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
         frame_rng = rng.split(1)[0]
+    # the frames read every column of u; a loss reads only the columns rho
+    # reaches, which come first as rho is sorted descending
+    cols = dim if want_frames else int(np.count_nonzero(rho))
     batch = _auto_batch(beta, dim, p if want_hess else 0)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None
@@ -406,9 +419,9 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     # one batch per call, so that its arrays are freed before the next draws
     def draw(rows: slice) -> None:
         b = rows.stop - rows.start
-        u = haar_columns(beta, dim, dim, rng, size=b)
+        u = _stiefel_batch(beta, _gauss(beta, (b, dim, dim), rng)[:, :, :cols])
         if losses is not None:
-            raw = comp.index * _fast_losses(beta, u, obs, rho)
+            raw = comp.index * _fast_losses(beta, u, obs, rho[:cols])
             losses[rows] = raw - floor
         if not want_frames:
             return

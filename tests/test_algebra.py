@@ -161,6 +161,18 @@ def test_index_with_finite_cube_accepted():
     assert component(dim=4, index=5e102).index == 5e102
 
 
+@pytest.mark.parametrize("rho", [[1e103, 0, 0, 0], [1e200, 0, 0, 0], [6e102, 6e102, 0, 0],
+                                 [1e308, 1e308, 0, 0]])
+def test_input_trace_whose_cube_overflows_refused(rho):
+    with pytest.raises(ValidationError,
+                       match="^input_spectrum must have a trace whose cube is finite"):
+        component(dim=4, rho=rho)
+
+
+def test_input_trace_with_finite_cube_accepted():
+    assert component(dim=4, rho=[5e102, 0, 0, 0]).input_trace == 5e102
+
+
 class TestSpectralStats:
     def test_hand_example(self):
         # [1,2,3,4] shifts to [0,1,2,3]: trace 6, square-trace 14

@@ -153,6 +153,51 @@ class TestParsing:
         for part in expected:
             assert part in err
 
+    # (top-level overrides, second-component overrides, command, expected
+    # stderr part): fields each inside the float range whose products leave it
+    PURE_TRACE = {"input_spectrum": {"pure": True, "trace": 1e200}}
+    INDEX_TIMES_SPECTRUM = {"index": 1e100, "observable_spectrum": [0, 1e100, 2e100, 3e100]}
+    TRACE_REFUSAL = ("component 1: input_spectrum must have a trace whose cube is finite, "
+                     "got 1e+200")
+    PRODUCT_OVERFLOW = {
+        "pure-trace-analyze": ({}, PURE_TRACE, "analyze", TRACE_REFUSAL),
+        "pure-trace-minima": ({}, PURE_TRACE, "minima", TRACE_REFUSAL),
+        "index-analyze": ({}, INDEX_TIMES_SPECTRUM, "analyze",
+                          "sector 1: the loss variance overflows the float range"),
+        "index-minima": ({}, INDEX_TIMES_SPECTRUM, "minima",
+                         "sector 1: the variance 2 mean^2 / (beta r) of its minima-law "
+                         "factor overflows the float range"),
+        "normalization-analyze": ({"normalization": 1e150}, {}, "analyze",
+                                  "sector 0: the third-cumulant scale normalization^3 "
+                                  "index^3 obar^3 tr(rho^3) / r^2 overflows the float range"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PRODUCT_OVERFLOW))
+    def test_product_overflow_is_located(self, case, tmp_path, capsys):
+        top, override, command, expected = self.PRODUCT_OVERFLOW[case]
+        sector = {"field": "R", "dim": 4, "index": 1, "observable_spectrum": [0, 1, 2, 3],
+                  "input_spectrum": {"pure": True}, "sector_params": 1}
+        doc = {"total_params": 2, "components": [sector, {**sector, **override}], **top}
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--model", str(path)]
+        if command == "minima":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
+
+    def test_minima_reads_no_normalization(self, tmp_path):
+        # the minima law is unnormalized, so a normalization whose cube
+        # overflows leaves it to run
+        sector = {"field": "R", "dim": 4, "index": 1, "observable_spectrum": [0, 1, 2, 3],
+                  "input_spectrum": {"pure": True}, "sector_params": 1}
+        path = tmp_path / "norm.json"
+        path.write_text(json.dumps({"total_params": 2, "normalization": 1e150,
+                                    "components": [sector, sector]}))
+        assert main(["minima", "--model", str(path), "--out", str(tmp_path / "out")]) == 0
+
 
 # an --out that cannot be a directory: a file, and a path below a file
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

@@ -365,10 +365,45 @@ class TestGPConditions:
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             gp_conditions(single_model(component(dim=4)), **kwargs)
 
+    def test_cumulant_scale_overflow_names_the_sector(self):
+        # the index cube alone is finite; times obar^3 = 27 it is not
+        model = single_model(component(dim=4, index=5e102, obs=[0, 2, 4, 6]))
+        with pytest.raises(ValidationError, match="^sector 0: the third-cumulant scale "
+                           r".* overflows the float range$"):
+            gp_conditions(model)
+
+    def test_normalized_variance_overflow_refused(self):
+        model = single_model(component(dim=4), normalization=1e200)
+        with pytest.raises(ValidationError, match="^model: normalization\\^2 times the loss "
+                           "variance overflows the float range$"):
+            gp_conditions(model)
+
+    def test_normalization_with_finite_cube_accepted(self):
+        rep = gp_conditions(single_model(component(dim=4), normalization=5e102))
+        assert math.isfinite(rep.cumulant_term)
+
     def test_infinite_thresholds_allowed(self):
         rep = gp_conditions(single_model(component(dim=4)), variance_exponent=math.inf,
                             cumulant_threshold=math.inf)
         assert rep.variance_floor == 0.0 and rep.cumulant_ok
+
+
+class TestProductOverflow:
+    # fields each inside the float range: index 1e100 times a spectrum of
+    # mean 1.5e100 gives a mean loss of 1.5e200, whose square overflows
+    def _model(self):
+        return single_model(component(dim=4, index=1e100, obs=[0, 1e100, 2e100, 3e100],
+                                      params=1))
+
+    def test_loss_variance_names_the_sector(self):
+        with pytest.raises(ValidationError,
+                           match="^sector 0: the loss variance overflows the float range$"):
+            loss_variance(self._model())
+
+    @pytest.mark.parametrize("call", [build_minima_density, welch_satterthwaite])
+    def test_minima_law_variance_names_the_sector(self, call):
+        with pytest.raises(ValidationError, match="^sector 0: the variance 2 mean"):
+            call(self._model())
 
 
 class TestGPCovariance:

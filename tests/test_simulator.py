@@ -383,6 +383,33 @@ class TestMcLandscape:
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.gradients, b.gradients)
 
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("dim", [6, 32])
+    @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
+    def test_loss_only_call_sees_the_gradient_call_draws(self, beta, dim, rho):
+        # a loss-only call orthonormalizes only the leading rank(rho) columns
+        # of each Gaussian, the ones its loss reads; a call collecting
+        # gradients takes the gauged QR of all of them.  The leading columns
+        # of the two QRs agree up to rounding: at most 9.3e-16 of the largest
+        # raw loss in these cases, so 1e-14 bounds it with room, and at full
+        # rank both factor the same matrices, bit for bit
+        spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2] + [0.0] * (dim - 3),
+                   "full": np.arange(1.0, dim + 1.0) / (dim * (dim + 1) / 2)}
+        comp = component(beta=beta, dim=dim, rho=spectra[rho], index=1.5, params=2)
+        n = 200
+        loss_rng = rng(65)
+        only = mc_landscape(comp, n, loss_rng)
+        both = mc_landscape(comp, n, rng(65), collect=("loss", "grad"))
+        if rho == "full":
+            assert only.losses.tobytes() == both.losses.tobytes()
+        else:
+            raw = np.max(np.abs(both.losses + both.loss_floor))
+            np.testing.assert_allclose(only.losses, both.losses, rtol=0, atol=1e-14 * raw)
+        # the whole dim x dim Gaussian of every draw is still read from rng
+        full_draw = rng(65)
+        haar_columns(beta, dim, dim, full_draw, size=n)
+        assert loss_rng.generator.bit_generator.state == full_draw.generator.bit_generator.state
+
     def test_returns_only_collected_quantities(self):
         comp = component(beta=2, dim=5, params=2)
         mc = mc_landscape(comp, 4, rng(59), collect=("hessian",))
@@ -396,6 +423,9 @@ class TestMcLandscape:
         (1, 16, 8, ("loss", "grad", "hessian")),
         (2, 16, 8, ("loss", "grad", "hessian")),
         (4, 16, 8, ("loss", "grad", "hessian")),
+        (1, 64, 3, ("loss",)),
+        (2, 64, 3, ("loss",)),
+        (4, 64, 3, ("loss",)),
     ])
     def test_batches_peak_below_cap(self, beta, dim, params, collect):
         # two full batches and one draw, so that a batch's arrays would show
