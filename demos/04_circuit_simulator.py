@@ -62,15 +62,15 @@ print()
 # their average must approach the exact mean over conjugations, which is
 # the flat spectral average times the input trace
 mc = mc_landscape(comp, 20_000, RngState(11), collect=("loss", "grad"))
-summary = mc.loss_distribution()
+losses = mc.losses
 exact_mean = spec.mean() * comp.input_trace
-print(f"sampled {summary.count} instances")
+print(f"sampled {losses.size} instances")
 print(f"  loss floor: {mc.loss_floor:.6f}")
 print(f"  empirical mean (floor restored): "
-      f"{mc.loss_floor + summary.mean:.6f}  vs exact {exact_mean:.6f}")
-print(f"  empirical variance: {summary.variance:.6f}")
-print(f"  range: [{mc.loss_floor + summary.minimum:.6f}, "
-      f"{mc.loss_floor + summary.maximum:.6f}]")
+      f"{mc.loss_floor + losses.mean():.6f}  vs exact {exact_mean:.6f}")
+print(f"  empirical variance: {losses.var():.6f}")
+print(f"  range: [{mc.loss_floor + losses.min():.6f}, "
+      f"{mc.loss_floor + losses.max():.6f}]")
 grad_mean = float(mc.gradients.mean())
 grad_se = float(mc.gradients.std() / np.sqrt(mc.gradients.size))
 print(f"  gradient entries: mean {grad_mean:+.2e} "

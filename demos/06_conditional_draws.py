@@ -22,7 +22,6 @@ from wishartscape import (
     regularized_hessian_sample,
     sample_gradient_given_loss,
     sample_hessian_at_critical,
-    sample_loss,
     sample_loss_batch,
     spectral_stats,
 )
@@ -39,10 +38,9 @@ model = SectorModel((comp,), total_params=PARAMS)
 st = spectral_stats(comp)
 print(f"observable: split-half at dim {DIM}, matched dof {st.dof_real:g}")
 
-# one annotated draw, then the batch moments against the gamma law
-draw = sample_loss(model, RngState(3))
-print(f"single loss draw: total {draw.total:.6f}, "
-      f"per sector {np.round(draw.per_component, 6)}")
+# one draw, then the batch moments against the gamma law
+draw = sample_loss_batch(model, 1, RngState(3))[0]
+print(f"single loss draw: total {draw.sum():.6f}, per sector {np.round(draw, 6)}")
 
 k, theta = rank1_gamma_params(comp)
 batch = sample_loss_batch(model, 100_000, RngState(4))[:, 0]

@@ -29,12 +29,12 @@ from .errors import (
 )
 from .kstest import ks_1samp, ks_2samp
 from .landscape import (
+    _low_purity_ceiling,
     build_minima_density,
     gp_conditions,
     kac_rice_log_density,
     loss_variance,
     low_purity_applicable,
-    low_purity_bound,
     overparameterization_ratios,
     trainability_verdict,
     welch_satterthwaite,
@@ -166,8 +166,8 @@ def _cmd_analyze(args) -> int:
             print(f"  critical-point log-density per parameter at the sector "
                   f"mean: {_g(kac_rice_log_density(comp, _sector_law(comp)[0]))}")
         if low_purity_applicable(comp):
-            print(f"  low-purity variance ceiling: "
-                  f"{_g(low_purity_bound(comp, model.normalization))}")
+            ceiling = _low_purity_ceiling(f"sector {a}", comp, model.normalization)
+            print(f"  low-purity variance ceiling: {_g(ceiling)}")
     print(f"loss variance: {_g(loss_variance(model))}")
     gp = gp_conditions(model,
                        variance_exponent=args.threshold_variance_exponent,
@@ -229,7 +229,10 @@ def _cmd_simulate(args) -> int:
     model = load_model(args.model)
     positive_int("--samples", args.samples)
     positive("--budget", args.budget)
-    cost = sum(_mc_cost(comp, args.samples) for comp in model.components)
+    collects = [("loss", "grad") if comp.sector_params else ("loss",)
+                for comp in model.components]
+    cost = sum(_mc_cost(comp, args.samples, collect)
+               for comp, collect in zip(model.components, collects))
     if cost > args.budget:
         raise BudgetExceededError(
             f"estimated cost {cost:.3e} operations exceeds budget {args.budget:.3e}; "
@@ -242,8 +245,7 @@ def _cmd_simulate(args) -> int:
         comp_rng, ref_rng, cond_rng = rng.split(3)
         p = comp.sector_params
         view = SectorModel((comp,), total_params=max(p, 1))
-        mc = mc_landscape(comp, args.samples, comp_rng,
-                          collect=("loss", "grad") if p else ("loss",))
+        mc = mc_landscape(comp, args.samples, comp_rng, collect=collects[a])
         header = ["sample_id", "loss"] + [f"grad_{j}" for j in range(p)]
         table = np.column_stack([mc.losses, mc.gradients]) if p else mc.losses[:, None]
         _write_table(out / f"simulate_component_{a}.csv", header,

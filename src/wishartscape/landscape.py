@@ -41,17 +41,16 @@ __all__ = [
 ]
 
 
-def _in_range(sector: int | None, quantity: str, compute) -> float:
+def _in_range(where: str, quantity: str, compute) -> float:
     """compute(), a product of model fields, refused with a ValidationError
-    naming the sector (None: the model) and the quantity once it leaves the
-    float range: a float power then raises OverflowError, a product gives
-    inf."""
+    naming where it was computed (a sector, a model or an argument) and the
+    quantity once it leaves the float range: a float power then raises
+    OverflowError, a product gives inf."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        where = "model" if sector is None else f"sector {sector}"
         raise ValidationError(f"{where}: {quantity} overflows the float range")
     return value
 
@@ -83,7 +82,7 @@ def loss_variance(model: SectorModel) -> float:
     1 - r/N as N grows, not to 1.
     """
     comps = sector_model("model", model).components
-    return float(sum(_in_range(a, "the loss variance",
+    return float(sum(_in_range(f"sector {a}", "the loss variance",
                                lambda: _component_variance(c)) for a, c in enumerate(comps)))
 
 
@@ -113,9 +112,16 @@ class MinimaDensity:
         return np.interp(z, self.z_grid, self.density, left=0.0, right=0.0)
 
 
-def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float) -> np.ndarray:
+def _gamma_factor_on_grid(comp: SimpleComponent, grid: np.ndarray, step: float,
+                          convolved: bool = False) -> np.ndarray:
     mean, br = _sector_law(comp)
     scale_z = mean * 2.0 / br
+    if br < 2.0 and convolved:
+        # The density's singularity at 0 defeats point sampling inside a
+        # convolution, so the factor enters through its exact cell masses
+        # over the step: F((j + 1/2) h) - F((j - 1/2) h) at node j, F(h/2)
+        # at node 0.
+        return np.diff(_gamma_cdf(grid + step / 2.0, br / 2.0, scale_z), prepend=0.0) / step
     vals = _gamma_pdf(grid, br / 2.0, scale_z)
     # Integrable edge singularity when beta * r < 2: replace the origin node
     # by the average density of the first half-cell so trapezoid mass is kept.
@@ -173,7 +179,7 @@ def _underparameterized_moments(
             under.append(comp)
             means.append(mean)
             variances.append(_in_range(
-                a, "the variance 2 mean^2 / (beta r) of its minima-law factor",
+                f"sector {a}", "the variance 2 mean^2 / (beta r) of its minima-law factor",
                 lambda: mean**2 * 2.0 / beta_dof))
     return under, np.array(means), np.array(variances)
 
@@ -190,7 +196,9 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     (one core).  Every entry is a sum of nonnegative products, so it carries
     direct summation's relative error; it differs from a dot-product
     convolution only in the last digits (a few 1e-15 relative) and is the
-    same on every run and BLAS thread count.  Total trapezoid mass must
+    same on every run and BLAS thread count.  A factor with beta * r < 2
+    enters a convolution through its exact cell masses, after every factor
+    with beta * r >= 2 (_gamma_factor_on_grid).  Total trapezoid mass must
     land within one part in a thousand of unity or an ArithmeticError is
     raised: mass loss would silently skew every downstream quantile.
     """
@@ -206,10 +214,18 @@ def build_minima_density(model: SectorModel, n_grid: int = 4096) -> MinimaDensit
     extent = float(np.sum(scales)) + 12.0 * math.sqrt(float(np.sum(variances)))
     n_points = int(math.ceil(extent / step)) + 1
     grid = np.arange(n_points) * step
-    density = _gamma_factor_on_grid(under[0], grid, step)
-    for comp in under[1:]:
-        factor = _gamma_factor_on_grid(comp, grid, step)
+    # factors with beta * r >= 2 first, in model order, so a convolution
+    # starts from a point-sampled density whenever one exists
+    factors = sorted(under, key=lambda c: _sector_law(c)[1] < 2.0)
+    convolved = len(factors) > 1
+    density = _gamma_factor_on_grid(factors[0], grid, step, convolved)
+    for comp in factors[1:]:
+        factor = _gamma_factor_on_grid(comp, grid, step, convolved)
         density = _causal_convolve(density, factor) * step
+    if convolved and _sector_law(factors[0])[1] < 2.0:
+        # every factor entered by its cell masses, so node 0 holds the mass
+        # of the half cell [0, h/2], a density of that mass over h/2
+        density[0] *= 2.0
     mass = float(np.trapezoid(density, grid))
     if not 0.999 <= mass <= 1.001:
         raise ArithmeticError(
@@ -279,6 +295,13 @@ class GPReport:
     plausible: bool
 
 
+def _normalized_variance(where: str, model: SectorModel) -> float:
+    """normalization^2 times the loss variance, refused by _in_range as
+    computed at `where`."""
+    return _in_range(where, "normalization^2 times the loss variance",
+                     lambda: model.normalization**2 * loss_variance(model))
+
+
 def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
                   cumulant_threshold: float = 1e-3) -> GPReport:
     """Checks whether a Gaussian-process description of the loss is plausible.
@@ -290,8 +313,7 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
     variance_exponent = nonnegative("variance_exponent", variance_exponent)
     cumulant_threshold = positive("cumulant_threshold", cumulant_threshold)
     norm = sector_model("model", model).normalization
-    variance_term = _in_range(None, "normalization^2 times the loss variance",
-                              lambda: norm**2 * loss_variance(model))
+    variance_term = _normalized_variance("model", model)
     n_max = max(c.dim for c in model.components)
     variance_floor = float(n_max) ** -variance_exponent
     cumulant_term = 0.0
@@ -299,7 +321,8 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
         st = spectral_stats(comp)
         rho3 = float(np.sum(comp.input_spectrum**3))
         term = _in_range(
-            a, "the third-cumulant scale normalization^3 index^3 obar^3 tr(rho^3) / r^2",
+            f"sector {a}",
+            "the third-cumulant scale normalization^3 index^3 obar^3 tr(rho^3) / r^2",
             lambda: norm**3 * comp.index**3 * st.mean_eig**3 * rho3 / st.dof_real**2)
         cumulant_term = max(cumulant_term, term)
     variance_ok = variance_term >= variance_floor
@@ -316,11 +339,16 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
 
 
 def gp_covariance_diagonal(model: SectorModel, other_inputs) -> float:
-    """Covariance of normalized losses for two co-diagonal input states.
+    """Covariance of normalized losses for two co-diagonal input states, by
+    the Wishart-process law.
 
     other_inputs supplies one spectrum per component for the second state;
     spectra are paired weight-by-weight after the descending sort that
-    SimpleComponent applies to its own input.
+    SimpleComponent applies to its own input, so the pairing forgets which
+    basis state each weight sits on.  For two distinct inputs the value is
+    not the Haar covariance: for orthogonal pure states at N = 8, beta = 2
+    and observable 0..7 it returns 2.19, the same as for one state twice,
+    where the exact covariance is -0.083.
     """
     n = len(sector_model("model", model).components)
     others = list(other_inputs) if np.iterable(other_inputs) else ()
@@ -377,7 +405,7 @@ def trainability_verdict(models, *, polylog_exponent: float = 1.0) -> Trainabili
         )
     if np.any(sizes < 2):
         raise ValidationError("model sizes must be at least 2 for a log-log fit")
-    variances = np.array([m.normalization**2 * loss_variance(m) for m in models])
+    variances = np.array([_normalized_variance(f"model {i}", m) for i, m in enumerate(models)])
     if np.any(variances <= 0):
         raise ValidationError("variances must be positive to fit a log trend")
     x = np.log(np.log(sizes))
@@ -418,7 +446,8 @@ def low_purity_bound(comp: SimpleComponent, normalization: float = 1.0) -> float
     Applies only when the input purity is at most dim^-0.999; outside that
     regime raises NotApplicableError.  The bound is the closed-form variance
     inflated by the square of the chunk count ceil(N / floor(N^0.999)).
-    normalization must be finite and positive, as in SectorModel.
+    normalization must be finite and positive, as in SectorModel; a ceiling
+    beyond the float range is refused at comp.
     """
     normalization = positive_float("normalization", normalization)
     if not low_purity_applicable(comp):
@@ -426,5 +455,12 @@ def low_purity_bound(comp: SimpleComponent, normalization: float = 1.0) -> float
             f"input purity {purity(comp.input_spectrum):.3e} exceeds "
             f"dim^-0.999 = {float(comp.dim) ** (-0.999):.3e}"
         )
+    return _low_purity_ceiling("comp", comp, normalization)
+
+
+def _low_purity_ceiling(where: str, comp: SimpleComponent, normalization: float) -> float:
+    """low_purity_bound's value for checked arguments, refused by _in_range
+    as computed at `where`."""
     m = _chunk_count(comp.dim)
-    return normalization**2 * m**2 * _component_variance(comp)
+    return _in_range(where, "normalization^2 times the low-purity variance ceiling",
+                     lambda: normalization**2 * m**2 * _component_variance(comp))

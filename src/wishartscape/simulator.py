@@ -23,7 +23,6 @@ from .randmat import RngState, _gauss, _stiefel_batch, haar_columns, haar_group,
 from . import field
 
 __all__ = [
-    "EmpiricalDistribution",
     "AnsatzInstance",
     "build_ansatz",
     "canonical_generator",
@@ -270,30 +269,6 @@ def fd_hessian(inst: AnsatzInstance, step: float = HESS_FD_STEP) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted sample set with its basic moments."""
-
-    samples: np.ndarray
-    count: int
-    mean: float
-    variance: float
-    minimum: float
-    maximum: float
-
-    @classmethod
-    def from_samples(cls, arr) -> "EmpiricalDistribution":
-        arr = np.sort(finite_vector("arr", arr))
-        return cls(
-            samples=arr,
-            count=int(arr.size),
-            mean=float(np.mean(arr)),
-            variance=float(np.var(arr)),
-            minimum=float(arr[0]),
-            maximum=float(arr[-1]),
-        )
-
-
-@dataclass(frozen=True)
 class McLandscape:
     """Monte Carlo draw set; losses are reported relative to the floor."""
 
@@ -301,11 +276,6 @@ class McLandscape:
     losses: np.ndarray | None
     gradients: np.ndarray | None
     hessians: np.ndarray | None
-
-    def loss_distribution(self) -> EmpiricalDistribution:
-        if self.losses is None:
-            raise ValidationError("losses were not collected")
-        return EmpiricalDistribution.from_samples(self.losses)
 
 
 _COLLECT = ("loss", "grad", "hessian")
@@ -328,13 +298,38 @@ def _auto_batch(beta: int, dim: int, hess_params: int) -> int:
     return max(1, min(BATCH_DRAWS, int(BATCH_BYTES / draw_bytes)))
 
 
-def _mc_cost(comp: SimpleComponent, n_samples: int) -> float:
-    """Operations mc_landscape spends on n_samples draws of the sector, the
-    count a work budget is held to: per sample one N x N Haar matrix and one
-    N x N conjugation, then O(N^2 k) per parameter for its N x k frame (k the
-    generator block's size), each in field multiplies of beta^2 real ones."""
-    n, k = float(comp.dim), field.generator_block(comp.beta).shape[0]
-    return float(n_samples) * comp.beta**2 * n * n * (2 * n + comp.sector_params * k)
+def _factored_columns(comp: SimpleComponent, collect) -> int:
+    """Columns of each Haar conjugation mc_landscape orthonormalizes: all N
+    when it collects gradients or Hessians, whose frames read every column;
+    for losses only, the rank(rho) columns the input reaches, the first ones
+    as rho is stored descending."""
+    if "grad" in collect or "hessian" in collect:
+        return comp.dim
+    return int(np.count_nonzero(comp.input_spectrum))
+
+
+# Real multiplies one real standard normal draw is priced at.  A rank-one
+# loss-only draw takes 15-21 ns per real normal of its Gaussian, which the
+# rate of gradient calls on the same sector (430-3500 operations per us)
+# prices at 8-53 operations, over beta = 1, 2, 4 and N = 16, 64 (one BLAS
+# thread of a 2-core box, OpenBLAS 0.3.31); 20 sits between.
+_GAUSS_OPS = 20
+
+
+def _mc_cost(comp: SimpleComponent, n_samples: int, collect) -> float:
+    """Operations mc_landscape spends on n_samples draws of the sector when
+    it collects `collect`, the count a work budget is held to, in field
+    multiplies of beta^2 real ones.  With gradients or Hessians, per sample
+    one N x N Haar matrix and one N x N conjugation, then O(N^2 k) per
+    parameter for its N x k frame (k the generator block's size).  Losses
+    only: the N x N Gaussian it draws, at _GAUSS_OPS per real normal, and the
+    gauged QR of the c columns it factors (_factored_columns), N c^2."""
+    n, beta = float(comp.dim), comp.beta
+    if "grad" in collect or "hessian" in collect:
+        k = field.generator_block(beta).shape[0]
+        return float(n_samples) * beta**2 * n * n * (2 * n + comp.sector_params * k)
+    c = _factored_columns(comp, collect)
+    return float(n_samples) * (_GAUSS_OPS * beta * n * n + beta**2 * n * c * c)
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -408,9 +403,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
         obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
         frame_rng = rng.split(1)[0]
-    # the frames read every column of u; a loss reads only the columns rho
-    # reaches, which come first as rho is sorted descending
-    cols = dim if want_frames else int(np.count_nonzero(rho))
+    cols = _factored_columns(comp, collect)
     batch = _auto_batch(beta, dim, p if want_hess else 0)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None

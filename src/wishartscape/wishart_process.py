@@ -25,10 +25,8 @@ from .errors import UnsupportedConfigurationError
 from .randmat import RngState, _gamma_cdf, _gamma_pdf, _generator, _wishart
 
 __all__ = [
-    "LossDraw",
     "ConditionalGradientDraw",
     "ConditionalHessianDraw",
-    "sample_loss",
     "sample_loss_batch",
     "loss_pdf_rank1",
     "loss_cdf_rank1",
@@ -40,26 +38,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LossDraw:
-    """One loss draw; keeps the raw diagonals so it can be reaudited exactly."""
-
-    per_component: np.ndarray
-    total: float
-    diagonals: tuple[np.ndarray, ...] = dc_field(repr=False)
-    prefactors: np.ndarray = dc_field(repr=False)
-
-    def reconstruct(self, model: SectorModel) -> float:
-        total = 0.0
-        model = sector_model("model", model)
-        for comp, pref, diag in zip(model.components, self.prefactors, self.diagonals):
-            total += pref * float(np.dot(comp.input_spectrum, diag))
-        return total
-
-
-@dataclass(frozen=True)
 class ConditionalGradientDraw:
     entries: np.ndarray
-    z_values: np.ndarray
     gaussians: tuple[np.ndarray, ...] = dc_field(repr=False)
     chis: tuple[np.ndarray, ...] = dc_field(repr=False)
 
@@ -67,50 +47,29 @@ class ConditionalGradientDraw:
 @dataclass(frozen=True)
 class ConditionalHessianDraw:
     matrix: np.ndarray
-    z_values: np.ndarray
     gaussians: tuple[np.ndarray, ...] = dc_field(repr=False)
     chis: tuple[np.ndarray, ...] = dc_field(repr=False)
     wisharts: tuple[np.ndarray, ...] = dc_field(repr=False)
     block_slices: tuple[slice, ...] = ()
 
 
-def _loss_diagonals(model: SectorModel, n_samples: int, rng: RngState):
-    """Yields (component, loss prefactor, (n_samples, dim) Wishart diagonals)
-    one sector at a time, so a caller can reduce each before the next draw.
+def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.ndarray:
+    """(n_samples, n_components) array of per-sector loss draws.
 
-    Diagonal entries of a Wishart matrix built from independent Gaussian rows
-    are themselves independent chi^2(beta * dof) / beta variables, so only the
+    Sector by sector, the loss is (I obar / dof) rho . diag(W).  Diagonal
+    entries of a Wishart matrix built from independent Gaussian rows are
+    themselves independent chi^2(beta * dof) / beta variables, so only the
     diagonal is drawn.  A two-route distribution check against full Wishart
     draws lives in the test suite.
     """
-    g = _generator(rng)
-    for comp in model.components:
-        st = spectral_stats(comp)
-        yield (comp, comp.index * st.mean_eig / st.dof,
-               g.chisquare(comp.beta * st.dof, size=(n_samples, comp.dim)) / comp.beta)
-
-
-def sample_loss(model: SectorModel, rng: RngState) -> LossDraw:
-    """One draw of the per-sector losses that keeps its Wishart diagonals."""
-    model = sector_model("model", model)
-    draws = [(comp, pref, diag[0]) for comp, pref, diag in _loss_diagonals(model, 1, rng)]
-    z = np.array([pref * float(np.dot(comp.input_spectrum, diag))
-                  for comp, pref, diag in draws])
-    return LossDraw(
-        per_component=z,
-        total=float(np.sum(z)),
-        diagonals=tuple(diag for _comp, _pref, diag in draws),
-        prefactors=np.array([pref for _comp, pref, _diag in draws], dtype=float),
-    )
-
-
-def sample_loss_batch(model: SectorModel, n_samples: int, rng: RngState) -> np.ndarray:
-    """(n_samples, n_components) array of per-sector loss draws."""
     model = sector_model("model", model)
     n_samples = positive_int("n_samples", n_samples)
+    g = _generator(rng)
     out = np.empty((n_samples, len(model.components)))
-    for a, (comp, pref, diag) in enumerate(_loss_diagonals(model, n_samples, rng)):
-        out[:, a] = pref * (diag @ comp.input_spectrum)
+    for a, comp in enumerate(model.components):
+        st = spectral_stats(comp)
+        diag = g.chisquare(comp.beta * st.dof, size=(n_samples, comp.dim)) / comp.beta
+        out[:, a] = comp.index * st.mean_eig / st.dof * (diag @ comp.input_spectrum)
     return out
 
 
@@ -197,7 +156,6 @@ def sample_gradient_given_loss(model: SectorModel, z_values,
         chis.append(chi)
     return ConditionalGradientDraw(
         entries=entries,
-        z_values=z,
         gaussians=tuple(gaussians),
         chis=tuple(chis),
     )
@@ -209,6 +167,14 @@ def _lower_mask(n: int) -> np.ndarray:
     mask = np.tri(n, dtype=bool)
     mask.flags.writeable = False
     return mask
+
+
+def _hessian_factors(comp: SimpleComponent, pa: int, rng: RngState):
+    """The sector's Hessian-law factors, drawn in this order: the square
+    roots of pa chi-squares of max(2, beta) degrees of freedom, then the
+    real pa x pa Wishart of max(1, round(beta r)) degrees of freedom."""
+    chi = np.sqrt(_generator(rng).chisquare(max(2, comp.beta), size=pa))
+    return chi, _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)
 
 
 def sample_hessian_at_critical(model: SectorModel, z_values,
@@ -244,10 +210,8 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
         st = spectral_stats(comp)
         amp = _amplitude(comp, st) / comp.dim**2
         pref = amp * math.sqrt(z[a] / (comp.beta * comp.index * st.mean_eig))
-        b = max(2, comp.beta)
         gauss = g.standard_normal(pa)
-        chi = np.sqrt(g.chisquare(b, size=pa))
-        w = _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)
+        chi, w = _hessian_factors(comp, pa, rng)
         lower = pref * (gauss[:, None] * chi) * w
         # the lower triangle mirrored; + 0.0 turns the -0.0 entries of z = 0 into +0.0
         np.add(np.where(_lower_mask(pa), lower, lower.T), 0.0, out=matrix[block, block])
@@ -256,7 +220,6 @@ def sample_hessian_at_critical(model: SectorModel, z_values,
         wisharts.append(w)
     return ConditionalHessianDraw(
         matrix=matrix,
-        z_values=z,
         gaussians=tuple(gaussians),
         chis=tuple(chis),
         wisharts=tuple(wisharts),
@@ -277,9 +240,5 @@ def regularized_hessian_sample(comp: SimpleComponent, rng: RngState) -> np.ndarr
         raise UnsupportedConfigurationError(
             "regularized Hessian needs at least one parameter acting on the sector"
         )
-    g = _generator(rng)
-    b = max(2, comp.beta)
-    sigma = g.chisquare(b, size=pa)
-    w = _wishart(1, pa, max(1, round(_sector_law(comp)[1])), rng)
-    root = np.sqrt(sigma)
+    root, w = _hessian_factors(comp, pa, rng)
     return (root[:, None] * w * root[None, :]) / comp.dim

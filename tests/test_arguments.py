@@ -10,7 +10,6 @@ import pytest
 from helpers import component, rng, single_model
 from wishartscape import (
     FIELD_C,
-    EmpiricalDistribution,
     RngState,
     SectorModel,
     SimpleComponent,
@@ -71,7 +70,6 @@ PROBES = {
     # counts and numbers read outside the probes above
     "generator-which": ("which", lambda: canonical_generator(component(beta=4, dim=2), 2.5)),
     "pauli-coefficient": ("term 0: coefficient", lambda: spectrum_from_pauli([("1.5", "Z")])),
-    "sample-set-nan": ("arr", lambda: EmpiricalDistribution.from_samples([1.0, math.nan])),
     # package objects: a model, a sector, a random stream, a circuit instance
     "model-components": ("components", lambda: SectorModel(components=5, total_params=1)),
     "variance-model": ("model", lambda: loss_variance(5)),

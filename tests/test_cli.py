@@ -198,6 +198,31 @@ class TestParsing:
                                     "components": [sector, sector]}))
         assert main(["minima", "--model", str(path), "--out", str(tmp_path / "out")]) == 0
 
+    def _mixed_models(self, tmp_path, dims, normalization):
+        # maximally mixed C inputs, so each sector's low-purity ceiling applies
+        paths = []
+        for d in dims:
+            sector = {"field": "C", "dim": d, "index": 1, "observable_spectrum": list(range(d)),
+                      "input_spectrum": [1.0 / d] * d, "sector_params": 1}
+            path = tmp_path / f"mixed-{d}.json"
+            path.write_text(json.dumps({"total_params": 1, "normalization": normalization,
+                                        "components": [sector]}))
+            paths.append(str(path))
+        return paths
+
+    def test_trainability_normalized_variance_overflow_names_the_model(self, tmp_path, capsys):
+        paths = self._mixed_models(tmp_path, (8, 16, 32), 1e200)
+        assert main(["trainability", "--model", *paths]) == 1
+        assert capsys.readouterr().err == ("error: model 0: normalization^2 times the loss "
+                                           "variance overflows the float range\n")
+
+    def test_low_purity_ceiling_overflow_names_the_sector(self, tmp_path, capsys):
+        (path,) = self._mixed_models(tmp_path, (8,), 1e200)
+        assert main(["analyze", "--model", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: sector 0: normalization^2 times the low-purity variance ceiling "
+            "overflows the float range\n")
+
 
 # an --out that cannot be a directory: a file, and a path below a file
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
@@ -402,6 +427,15 @@ class TestSimulate:
         # refused this run
         assert main(["simulate", "--model", str(DEMO_MODELS / "rank1_complex.json"),
                      "--out", str(tmp_path), "--samples", "10", "--budget", "1e8"]) == 0
+
+    def test_budget_prices_loss_only_sector_by_its_columns(self, tmp_path):
+        # C, N = 64, rank-one input, no parameters, so losses only: 100 *
+        # (20 * 2 * 64^2 + 2^2 * 64 * 1^2) = 1.64e7 operations, the Gaussian
+        # at 20 per real normal and the QR of the one reached column.  The
+        # full-frame count, 100 * 2^2 * 64^2 * (2 * 64) = 2.1e8, refused it
+        m = write_model(tmp_path / "idle.json", dim=64, params=0)
+        assert main(["simulate", "--model", str(m), "--out", str(tmp_path / "o"),
+                     "--samples", "100", "--budget", "1e8"]) == 0
 
     def test_budget_refused(self, rank1_model, tmp_path, capsys):
         assert main(["simulate", "--model", str(rank1_model), "--out",

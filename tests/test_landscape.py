@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from helpers import component, rng, single_model
+from helpers import component, ks_critical, rng, single_model
 from wishartscape import (
     NotApplicableError,
     SectorModel,
@@ -148,6 +148,53 @@ class TestMinimaDensity:
         comp = component(beta=1, dim=8, obs=[0, 0, 0, 0, 0, 0, 0, 1.0], params=0)
         density = build_minima_density(single_model(comp))
         assert density.mass == pytest.approx(1.0, abs=1e-3)
+
+    # beta r = 1 sectors (one nonzero observable eigenvalue, pure input) and a
+    # smooth underparameterized one, so every convolution meets a factor
+    # whose density diverges at 0
+    SINGULAR = component(beta=1, dim=8, obs=[0, 0, 0, 0, 0, 0, 0, 1.0])
+    SINGULAR_2 = component(beta=1, dim=6, index=2.0, obs=[0, 0, 0, 0, 0, 1.0])
+    SMOOTH = component(beta=2, dim=6, obs=[0, 0.5, 1, 2, 2, 3], params=4)
+    SINGULAR_MODELS = {"singular-smooth": (SINGULAR, SMOOTH),
+                       "smooth-singular": (SMOOTH, SINGULAR),
+                       "two-singular": (SINGULAR, SINGULAR_2),
+                       "three": (SINGULAR, SMOOTH, SINGULAR_2)}
+
+    def singular_model(self, name):
+        comps = self.SINGULAR_MODELS[name]
+        model = SectorModel(components=comps, total_params=4)
+        ratios = overparameterization_ratios(model)
+        assert np.all(ratios < 1.0)
+        assert min(c.beta * spectral_stats(c).dof_real for c in comps) < 2.0
+        return model
+
+    @pytest.mark.parametrize("n_grid", [1024, 4096])
+    @pytest.mark.parametrize("name", sorted(SINGULAR_MODELS))
+    def test_singular_factor_in_a_convolution_keeps_mass(self, name, n_grid):
+        density = build_minima_density(self.singular_model(name), n_grid=n_grid)
+        assert abs(density.mass - 1.0) <= 1e-4
+
+    def test_singular_factor_order_does_not_matter(self):
+        a = build_minima_density(self.singular_model("singular-smooth"))
+        b = build_minima_density(self.singular_model("smooth-singular"))
+        assert a.density.tobytes() == b.density.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SINGULAR_MODELS))
+    def test_singular_grid_cdf_matches_gamma_sums(self, name):
+        # seed and size fixed before the test was first run
+        model = self.singular_model(name)
+        gen, n = np.random.default_rng(23), 20000
+        draws = np.zeros(n)
+        for c in model.components:
+            st = spectral_stats(c)
+            br = c.beta * st.dof_real
+            draws += gen.gamma(br / 2.0, 2.0 * c.index * st.mean_eig * c.input_trace / br, n)
+        density = build_minima_density(model)
+        grid, d = density.z_grid, density.density
+        cdf = np.concatenate([[0.0], np.cumsum((d[1:] + d[:-1]) * np.diff(grid) / 2.0)])
+        at = np.interp(np.sort(draws), grid, cdf)
+        ks = max(np.max(np.arange(1, n + 1) / n - at), np.max(at - np.arange(n) / n))
+        assert ks < ks_critical(n)
 
     def test_at_interpolates_grid(self):
         comp = component(beta=2, dim=16, params=8)
@@ -482,6 +529,14 @@ class TestTrainability:
         assert rep.variance_verdict == "inconclusive"
         assert not rep.trainable
 
+    def test_normalized_variance_overflow_names_the_model(self):
+        # only the second model's normalization squares out of the float range
+        models = [single_model(component(beta=2, dim=n), normalization=norm)
+                  for n, norm in ((4, 1.0), (8, 1e200), (16, 1.0))]
+        with pytest.raises(ValidationError, match="^model 1: normalization\\^2 times the "
+                           "loss variance overflows the float range$"):
+            trainability_verdict(models)
+
     def test_minima_condition_blocks_trainable(self):
         # flat normalized variance but too few parameters at every size
         models = family([k * k for k in range(2, 7)], scale_obs=True,
@@ -555,6 +610,13 @@ class TestLowPurity:
     def test_not_applicable_raises(self):
         with pytest.raises(NotApplicableError):
             low_purity_bound(component(beta=2, dim=16))
+
+    def test_ceiling_overflow_refused_at_comp(self):
+        # 1e200 squared leaves the float range; the ceiling is refused, not inf
+        comp = component(beta=2, dim=16, rho=np.full(16, 1.0 / 16.0))
+        with pytest.raises(ValidationError, match="^comp: normalization\\^2 times the "
+                           "low-purity variance ceiling overflows the float range$"):
+            low_purity_bound(comp, 1e200)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.0, 0.0, "1", True])
     def test_normalization_checked_as_in_sector_model(self, bad):

@@ -17,7 +17,6 @@ from helpers import (
     rng,
 )
 from wishartscape import (
-    EmpiricalDistribution,
     UnsupportedConfigurationError,
     ValidationError,
     build_ansatz,
@@ -500,35 +499,6 @@ class TestMcLandscape:
         comp = component(beta=2, dim=4, params=1)
         with pytest.raises(ValidationError, match=r"collect .* \('loss',\)"):
             mc_landscape(comp, 10, rng(0), collect="loss")
-
-    def test_loss_distribution_requires_losses(self):
-        comp = component(beta=2, dim=4, params=1)
-        mc = mc_landscape(comp, 10, rng(56), collect=("grad",))
-        assert mc.losses is None
-        with pytest.raises(ValidationError):
-            mc.loss_distribution()
-
-    def test_loss_distribution_summary(self):
-        comp = component(beta=2, dim=4)
-        mc = mc_landscape(comp, 64, rng(57))
-        d = mc.loss_distribution()
-        assert d.count == 64
-        assert d.minimum <= d.mean <= d.maximum
-        assert np.all(np.diff(d.samples) >= 0)
-
-
-class TestEmpiricalDistribution:
-    def test_from_samples(self):
-        d = EmpiricalDistribution.from_samples([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(d.samples, [1.0, 2.0, 3.0])
-        assert d.count == 3
-        assert d.mean == pytest.approx(2.0)
-        assert d.variance == pytest.approx(2.0 / 3.0)
-        assert (d.minimum, d.maximum) == (1.0, 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            EmpiricalDistribution.from_samples([])
 
 
 class TestSpectrumFromPauli:

@@ -1,4 +1,4 @@
-"""Same bits from the same stream: each single-draw sampler replayed by hand.
+"""Same bits from the same stream: each surrogate sampler replayed by hand.
 
 A generator cloned at the sampler's start state redraws the documented
 Gaussians, chi-squares and Wishart matrices in the documented order, and the
@@ -19,6 +19,7 @@ from wishartscape import (
     regularized_hessian_sample,
     sample_gradient_given_loss,
     sample_hessian_at_critical,
+    sample_loss_batch,
     spectral_stats,
 )
 from wishartscape import field
@@ -80,6 +81,25 @@ def amplitude(comp):
 
 def hessian_dof(comp):
     return max(1, round(comp.beta * spectral_stats(comp).dof_real))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_loss_batch_replays(name, n):
+    model = MODELS[name]
+    r = rng(10)
+    g = clone(r)
+    got = sample_loss_batch(model, n, r)
+    expect = np.empty((n, len(model.components)))
+    for a, comp in enumerate(model.components):
+        # per sector: the Wishart diagonal, chi-squares of beta dof drawn as
+        # one (n, dim) array, over beta; dof is the rounded integer
+        st = spectral_stats(comp)
+        diag = g.chisquare(comp.beta * st.dof, size=(n, comp.dim)) / comp.beta
+        pref = comp.index * st.mean_eig / st.dof
+        expect[:, a] = pref * (diag @ comp.input_spectrum)
+    assert_same_bits(got, expect)
+    assert_same_state(r, g)
 
 
 @pytest.mark.parametrize("z", sorted(Z))

@@ -15,7 +15,6 @@ from wishartscape import (
     regularized_hessian_sample,
     sample_gradient_given_loss,
     sample_hessian_at_critical,
-    sample_loss,
     sample_loss_batch,
     spectral_stats,
 )
@@ -39,12 +38,6 @@ class TestSampleLoss:
         expect = comp.index * st.mean_eig * comp.input_trace
         se = draws[:, 0].std() / np.sqrt(n)
         assert abs(draws[:, 0].mean() - expect) < 5 * se
-
-    def test_single_draw_consistency(self):
-        model = generic_model()
-        d = sample_loss(model, rng(1))
-        assert d.total == pytest.approx(float(np.sum(d.per_component)))
-        assert d.reconstruct(model) == pytest.approx(d.total, rel=1e-12)
 
     def test_same_seed_reproduces(self):
         model = generic_model()
