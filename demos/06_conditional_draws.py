@@ -6,7 +6,8 @@ process realizes the gamma law with no rounding.  Draws losses through the
 diagonal chi-squared route and checks their moments, then conditions on
 the loss value to draw gradients (whose entry variance is linear in the
 loss) and Hessians at critical points (whose positive-semidefinite draws
-carry all-nonnegative Gaussian factors).
+carry all-nonnegative Gaussian factors), and ends with the regularized
+Hessian surrogate, which is always positive definite.
 """
 
 import numpy as np
@@ -16,8 +17,6 @@ from wishartscape import (
     RngState,
     SectorModel,
     SimpleComponent,
-    gp_covariance_diagonal,
-    loss_variance,
     rank1_gamma_params,
     regularized_hessian_sample,
     sample_gradient_given_loss,
@@ -91,13 +90,3 @@ mins = [np.linalg.eigvalsh(regularized_hessian_sample(comp, RngState(100 + i))).
         for i in range(50)]
 print(f"regularized surrogate: smallest eigenvalue over 50 draws "
       f"{min(mins):.3e} (> 0)")
-print()
-
-# losses of two states diagonal in the same frame stay correlated; the
-# covariance peaks when the states coincide and shrinks for a mixed partner
-same = gp_covariance_diagonal(model, [PURE])
-mixed = gp_covariance_diagonal(model, [np.full(DIM, 1.0 / DIM)])
-print(f"co-diagonal loss covariance: same input {same:.6f} "
-      f"(equals the loss variance {loss_variance(model):.6f})")
-print(f"  maximally mixed partner: {mixed:.6f} "
-      f"(down by the dimension factor {same / mixed:.1f})")

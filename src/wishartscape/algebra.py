@@ -19,12 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BasisValidationError,
-    DegenerateElementError,
-    DegenerateObservableError,
-    ValidationError,
-)
+from .errors import DegenerateObservableError, ValidationError
 
 __all__ = [
     "BETAS",
@@ -40,9 +35,6 @@ __all__ = [
     "spectral_stats",
     "dim_automorphism",
     "purity",
-    "index_constant",
-    "project_into_component",
-    "spin_factor_reduce",
 ]
 
 
@@ -394,64 +386,3 @@ def purity(spectrum) -> float:
     eigs = weights("spectrum", spectrum)
     total = float(np.sum(eigs))
     return float(np.sum(eigs * eigs) / (total * total))
-
-
-def index_constant(ambient_trace: float, defining_trace: float) -> float:
-    """Ratio scaling the defining trace to the ambient one for a test element."""
-    ambient_trace = finite_float("ambient_trace", ambient_trace)
-    defining_trace = finite_float("defining_trace", defining_trace)
-    if defining_trace == 0.0:
-        raise DegenerateElementError(
-            "defining trace of the test element vanishes; index is undefined"
-        )
-    return ambient_trace / defining_trace
-
-
-def _pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Real trace pairing Re tr(a^dagger b) = Re sum conj(a) b over the stored
-    entries, which holds for the real, complex and quaternion layouts alike."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch in pairing: {a.shape} vs {b.shape}")
-    return float(np.real(np.vdot(a, b)))
-
-
-def project_into_component(matrix: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and reconstruction of matrix in an orthonormal basis.
-
-    The basis must be orthonormal under the real trace pairing to within
-    1e-10; anything worse raises BasisValidationError rather than silently
-    returning coefficients in a skewed frame.
-    """
-    basis = [np.asarray(b) for b in basis]
-    if not basis:
-        raise BasisValidationError("basis is empty")
-    k = len(basis)
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = _pairing(basis[i], basis[j])
-    if np.max(np.abs(gram - np.eye(k))) > 1e-10:
-        raise BasisValidationError(
-            f"basis fails orthonormality by {np.max(np.abs(gram - np.eye(k))):.3e}"
-        )
-    matrix = np.asarray(matrix)
-    coeffs = np.array([_pairing(b, matrix) for b in basis])
-    projected = np.zeros_like(np.asarray(basis[0], dtype=np.result_type(*basis, matrix)))
-    for c, b in zip(coeffs, basis):
-        projected = projected + c * b
-    return coeffs, projected
-
-
-def spin_factor_reduce(input_spectrum, observable_spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-form sector reduced to a real sector of squared dimension.
-
-    The reduced input and observable spectra are all pairwise products of the
-    original eigenvalue lists (a tensor square), each returned sorted.
-    """
-    rho = finite_vector("input_spectrum", input_spectrum)
-    obs = finite_vector("observable_spectrum", observable_spectrum, rho.size)
-    rho_red = np.sort(np.outer(rho, rho).ravel())
-    obs_red = np.sort(np.outer(obs, obs).ravel())
-    return rho_red, obs_red

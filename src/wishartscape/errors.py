@@ -4,8 +4,6 @@ __all__ = [
     "WishartscapeError",
     "ValidationError",
     "DegenerateObservableError",
-    "DegenerateElementError",
-    "BasisValidationError",
     "UnsupportedConfigurationError",
     "UndefinedRegimeError",
     "NotApplicableError",
@@ -25,14 +23,6 @@ class ValidationError(WishartscapeError, ValueError):
 
 class DegenerateObservableError(ValidationError):
     """Observable spectrum carries no dispersion after zero-shifting."""
-
-
-class DegenerateElementError(ValidationError):
-    """An algebra element needed for a ratio or normalization is zero."""
-
-
-class BasisValidationError(ValidationError):
-    """A supplied basis is not orthonormal under the trace pairing."""
 
 
 class UnsupportedConfigurationError(ValidationError):

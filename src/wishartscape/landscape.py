@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import (SectorModel, SimpleComponent, _sector_law, dim_automorphism,
                       nonnegative, positive, positive_float, positive_int, purity,
                       real_array, sector_model, sector_models, simple_component,
-                      spectral_stats, weights)
+                      spectral_stats)
 from .errors import (
     NotApplicableError,
     TrendUnfitError,
@@ -33,7 +33,6 @@ __all__ = [
     "kac_rice_log_density",
     "GPReport",
     "gp_conditions",
-    "gp_covariance_diagonal",
     "TrainabilityReport",
     "trainability_verdict",
     "low_purity_bound",
@@ -55,15 +54,10 @@ def _in_range(where: str, quantity: str, compute) -> float:
     return value
 
 
-def _covariance(comp: SimpleComponent, overlap: float) -> float:
-    """Loss covariance of the sector between its input and a co-diagonal one
-    whose weights pair with it to `overlap`; at Tr(rho^2) the variance."""
-    st = spectral_stats(comp)
-    return comp.index**2 * st.trace_sq * overlap / dim_automorphism(comp.field, comp.dim)
-
-
 def _component_variance(comp: SimpleComponent) -> float:
-    return _covariance(comp, float(np.sum(comp.input_spectrum**2)))
+    st = spectral_stats(comp)
+    return (comp.index**2 * st.trace_sq * float(np.sum(comp.input_spectrum**2))
+            / dim_automorphism(comp.field, comp.dim))
 
 
 def loss_variance(model: SectorModel) -> float:
@@ -297,9 +291,14 @@ class GPReport:
 
 def _normalized_variance(where: str, model: SectorModel) -> float:
     """normalization^2 times the loss variance, refused by _in_range as
-    computed at `where`."""
+    computed at `where`; a sector's refusal from loss_variance is prefixed
+    by `where` too."""
+    try:
+        variance = loss_variance(model)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     return _in_range(where, "normalization^2 times the loss variance",
-                     lambda: model.normalization**2 * loss_variance(model))
+                     lambda: model.normalization**2 * variance)
 
 
 def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
@@ -336,30 +335,6 @@ def gp_conditions(model: SectorModel, *, variance_exponent: float = 1.0,
         cumulant_ok=cumulant_ok,
         plausible=variance_ok and cumulant_ok,
     )
-
-
-def gp_covariance_diagonal(model: SectorModel, other_inputs) -> float:
-    """Covariance of normalized losses for two co-diagonal input states, by
-    the Wishart-process law.
-
-    other_inputs supplies one spectrum per component for the second state;
-    spectra are paired weight-by-weight after the descending sort that
-    SimpleComponent applies to its own input, so the pairing forgets which
-    basis state each weight sits on.  For two distinct inputs the value is
-    not the Haar covariance: for orthogonal pure states at N = 8, beta = 2
-    and observable 0..7 it returns 2.19, the same as for one state twice,
-    where the exact covariance is -0.083.
-    """
-    n = len(sector_model("model", model).components)
-    others = list(other_inputs) if np.iterable(other_inputs) else ()
-    if len(others) != n:
-        raise ValidationError(
-            f"other_inputs must hold one spectrum per component ({n}), got {other_inputs!r}")
-    total = 0.0
-    for a, (comp, other) in enumerate(zip(model.components, others)):
-        other = np.sort(weights(f"other_inputs[{a}]", other, comp.dim))[::-1]
-        total += _covariance(comp, float(np.dot(comp.input_spectrum, other)))
-    return model.normalization**2 * total
 
 
 @dataclass(frozen=True)

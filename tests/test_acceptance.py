@@ -18,6 +18,7 @@ from helpers import (
     component,
     ks_2samp_critical,
     ks_critical,
+    project_into_component,
     rng,
     single_model,
 )
@@ -40,7 +41,6 @@ from wishartscape import (
     marchenko_pastur_support,
     mc_landscape,
     mp_log_moment,
-    project_into_component,
     rank1_gamma_params,
     sample_hessian_at_critical,
     spectral_stats,

@@ -6,13 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import component, single_model
+from helpers import (
+    BasisValidationError,
+    DegenerateElementError,
+    component,
+    index_constant,
+    project_into_component,
+    single_model,
+    spin_factor_reduce,
+)
 from wishartscape import (
     FIELD_C,
     FIELD_H,
     FIELD_R,
-    BasisValidationError,
-    DegenerateElementError,
     DegenerateObservableError,
     FieldTag,
     RngState,
@@ -25,11 +31,8 @@ from wishartscape import (
     gauss_matrix,
     haar_columns,
     haar_group,
-    index_constant,
-    project_into_component,
     purity,
     spectral_stats,
-    spin_factor_reduce,
     wishart_bartlett,
     wishart_direct,
 )

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import component, rng, single_model
+from helpers import component, index_constant, rng, single_model, spin_factor_reduce
 from wishartscape import (
     FIELD_C,
     RngState,
@@ -17,10 +17,8 @@ from wishartscape import (
     build_ansatz,
     build_minima_density,
     canonical_generator,
-    gp_covariance_diagonal,
     grad_eval,
     haar_group,
-    index_constant,
     kac_rice_log_density,
     loss_cdf_rank1,
     loss_eval,
@@ -34,7 +32,6 @@ from wishartscape import (
     sample_loss_batch,
     spectral_stats,
     spectrum_from_pauli,
-    spin_factor_reduce,
     trainability_verdict,
     welch_satterthwaite,
 )
@@ -55,12 +52,10 @@ PROBES = {
         field=FIELD_C, dim=2, index=1, observable_spectrum=["a", "b"], input_spectrum=[1, 0])),
     "spectral-stats": ("spectrum", lambda: spectral_stats(["a", "b"])),
     "purity": ("spectrum", lambda: purity(["a"])),
+    # the reference sector-algebra steps in tests/helpers read the same rules
     "spin-factor": ("input_spectrum", lambda: spin_factor_reduce(["a"], ["b"])),
     "index-string": ("ambient_trace", lambda: index_constant("a", 1)),
     "index-nan": ("ambient_trace", lambda: index_constant(math.nan, 1)),
-    "gp-covariance-count": ("other_inputs", lambda: gp_covariance_diagonal(_model(), 5)),
-    "gp-covariance-strings": ("other_inputs",
-                              lambda: gp_covariance_diagonal(_model(), [["a", "b"]])),
     "gradient-z": ("z_values", lambda: sample_gradient_given_loss(_model(), ["a"], rng(0))),
     "loss-theta": ("theta", lambda: loss_eval(build_ansatz(_comp(), rng(0)), ["a", "b"])),
     "mc-collect": ("collect", lambda: mc_landscape(_comp(), 3, rng(0), collect=5)),

@@ -216,6 +216,22 @@ class TestParsing:
         assert capsys.readouterr().err == ("error: model 0: normalization^2 times the loss "
                                            "variance overflows the float range\n")
 
+    def test_trainability_loss_variance_overflow_names_the_model(self, tmp_path, capsys):
+        # pure C models; only the dim-16 one has index 1e100 times a spectrum
+        # of scale 1e100, so its loss variance leaves the float range
+        paths = []
+        for d in (8, 16, 32):
+            scale = 1e100 if d == 16 else 1.0
+            sector = {"field": "C", "dim": d, "index": scale,
+                      "observable_spectrum": [scale * k for k in range(d)],
+                      "input_spectrum": {"pure": True}, "sector_params": 1}
+            path = tmp_path / f"pure-{d}.json"
+            path.write_text(json.dumps({"total_params": 1, "components": [sector]}))
+            paths.append(str(path))
+        assert main(["trainability", "--model", *paths]) == 1
+        assert capsys.readouterr().err == ("error: model 1: sector 0: the loss variance "
+                                           "overflows the float range\n")
+
     def test_low_purity_ceiling_overflow_names_the_sector(self, tmp_path, capsys):
         (path,) = self._mixed_models(tmp_path, (8,), 1e200)
         assert main(["analyze", "--model", path]) == 1

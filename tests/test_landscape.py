@@ -16,7 +16,6 @@ from wishartscape import (
     ValidationError,
     build_minima_density,
     gp_conditions,
-    gp_covariance_diagonal,
     kac_rice_log_density,
     loss_variance,
     low_purity_applicable,
@@ -453,39 +452,6 @@ class TestProductOverflow:
             call(self._model())
 
 
-class TestGPCovariance:
-    def test_same_input_reproduces_variance(self):
-        comp = component(beta=2, dim=8, rho=[0.5, 0.3, 0.2, 0, 0, 0, 0, 0])
-        model = single_model(comp, normalization=1.5)
-        cov = gp_covariance_diagonal(model, [comp.input_spectrum])
-        assert cov == pytest.approx(1.5**2 * loss_variance(model), rel=1e-12)
-
-    def test_linear_in_second_weights(self):
-        comp = component(beta=2, dim=8)
-        model = single_model(comp)
-        base = gp_covariance_diagonal(model, [np.ones(8)])
-        scaled = gp_covariance_diagonal(model, [3.0 * np.ones(8)])
-        assert scaled == pytest.approx(3.0 * base, rel=1e-12)
-
-    def test_mixed_second_state_damps_coupling(self):
-        comp = component(beta=2, dim=8)   # pure input
-        model = single_model(comp)
-        pure = np.zeros(8)
-        pure[0] = 1.0
-        cov_pure = gp_covariance_diagonal(model, [pure])
-        cov_mixed = gp_covariance_diagonal(model, [np.full(8, 1.0 / 8.0)])
-        assert cov_mixed == pytest.approx(cov_pure / 8.0, rel=1e-12)
-
-    def test_validation(self):
-        model = single_model(component(dim=4))
-        with pytest.raises(ValidationError):
-            gp_covariance_diagonal(model, [])
-        with pytest.raises(ValidationError):
-            gp_covariance_diagonal(model, [np.ones(3)])
-        with pytest.raises(ValidationError):
-            gp_covariance_diagonal(model, [-np.ones(4)])
-
-
 def family(sizes, scale_obs=False, params_of=None):
     models = []
     for n in sizes:
@@ -535,6 +501,17 @@ class TestTrainability:
                   for n, norm in ((4, 1.0), (8, 1e200), (16, 1.0))]
         with pytest.raises(ValidationError, match="^model 1: normalization\\^2 times the "
                            "loss variance overflows the float range$"):
+            trainability_verdict(models)
+
+    def test_loss_variance_overflow_names_the_model(self):
+        # only the second model's index times its spectrum squares out of
+        # the float range; the refusal names the model, then the sector
+        models = [single_model(component(beta=2, dim=4)),
+                  single_model(component(beta=2, dim=8, index=1e100,
+                                         obs=1e100 * np.arange(8.0))),
+                  single_model(component(beta=2, dim=16))]
+        with pytest.raises(ValidationError, match="^model 1: sector 0: the loss variance "
+                           "overflows the float range$"):
             trainability_verdict(models)
 
     def test_minima_condition_blocks_trainable(self):

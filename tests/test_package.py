@@ -17,3 +17,15 @@ def test_each_name_is_its_home_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(wishartscape, name) is getattr(module, name), name
+
+
+def test_removed_names_are_gone():
+    # the sector-algebra reference steps live in tests/helpers; the co-diagonal
+    # covariance was the Wishart-process law, wrong for distinct inputs
+    removed = {algebra: ("index_constant", "project_into_component", "spin_factor_reduce"),
+               landscape: ("gp_covariance_diagonal",),
+               errors: ("DegenerateElementError", "BasisValidationError")}
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(wishartscape, name), name
+            assert not hasattr(module, name), name
