@@ -287,49 +287,47 @@ def _auto_batch(beta: int, dim: int, hess_params: int) -> int:
     """Draws per batch: at most BATCH_DRAWS, and few enough that a batch
     peaks below BATCH_BYTES.
 
-    Measured with tracemalloc, one draw peaks at about 4.5 N x N matrices of
-    the QR's complex image (8, 16 or 64 bytes per entry: for beta = 4 the
-    image is 2N x 2N), and collecting the Hessian adds about 4 N x N field
-    matrices per parameter (8, 16 or 32 bytes per entry) for the generators
-    and their commutators.  Both counts are rounded up to 5.
+    Measured with tracemalloc on rank-3 inputs (beta = 1, 2, 4; N = 16, 64),
+    a draw that collects gradients peaks at 2.2-3.0 N x N field matrices (8,
+    16 or 32 bytes per entry): its N x N Gaussian, then rho~ and rho~ times
+    the observable gaps, with the parameter frames adding the rest at small
+    N; a loss-only draw peaks at 1.1-2.2, its Gaussian.  Collecting the
+    Hessian adds about 4-5 N x N field matrices per parameter for the
+    generators and their commutators.  The count below prices a draw at 5
+    N x N matrices of a full QR's complex image (8, 16 or 64 bytes per
+    entry: for beta = 4 the image is 2N x 2N), which overstates it, so
+    gradient batches peak at a fifth to a half of the cap, plus 5 field
+    matrices per Hessian parameter, which binds.  A tighter count would
+    enlarge batches and with them a call's resident memory.
     """
     image, entry = {1: (8, 8), 2: (16, 16), 4: (64, 32)}[beta]
     draw_bytes = 5 * dim * dim * (image + hess_params * entry)
     return max(1, min(BATCH_DRAWS, int(BATCH_BYTES / draw_bytes)))
 
 
-def _factored_columns(comp: SimpleComponent, collect) -> int:
-    """Columns of each Haar conjugation mc_landscape orthonormalizes: all N
-    when it collects gradients or Hessians, whose frames read every column;
-    for losses only, the rank(rho) columns the input reaches, the first ones
-    as rho is stored descending."""
-    if "grad" in collect or "hessian" in collect:
-        return comp.dim
-    return int(np.count_nonzero(comp.input_spectrum))
-
-
 # Real multiplies one real standard normal draw is priced at.  A rank-one
-# loss-only draw takes 15-21 ns per real normal of its Gaussian, which the
-# rate of gradient calls on the same sector (430-3500 operations per us)
-# prices at 8-53 operations, over beta = 1, 2, 4 and N = 16, 64 (one BLAS
-# thread of a 2-core box, OpenBLAS 0.3.31); 20 sits between.
+# loss-only draw takes 13-16 ns per real normal of its Gaussian, which the
+# rate of rank-one and rank-three gradient calls (760-1420 operations per
+# us) prices at 10-22 operations, over beta = 1, 2, 4 and N = 16, 64 (one
+# BLAS thread of a 2-core box, OpenBLAS 0.3.31); 20 sits between.
 _GAUSS_OPS = 20
 
 
 def _mc_cost(comp: SimpleComponent, n_samples: int, collect) -> float:
     """Operations mc_landscape spends on n_samples draws of the sector when
     it collects `collect`, the count a work budget is held to, in field
-    multiplies of beta^2 real ones.  With gradients or Hessians, per sample
-    one N x N Haar matrix and one N x N conjugation, then O(N^2 k) per
-    parameter for its N x k frame (k the generator block's size).  Losses
-    only: the N x N Gaussian it draws, at _GAUSS_OPS per real normal, and the
-    gauged QR of the c columns it factors (_factored_columns), N c^2."""
+    multiplies of beta^2 real ones.  Per sample: the N x N Gaussian it
+    draws, at _GAUSS_OPS per real normal, and the gauged QR of the
+    r = rank(rho) columns the input reaches, N r^2.  With gradients or
+    Hessians, add the conjugation rho~ on those columns, N^2 r, and N^2 k per
+    parameter for its N x k frame (k the generator block's size)."""
     n, beta = float(comp.dim), comp.beta
+    r = float(np.count_nonzero(comp.input_spectrum))
+    ops = _GAUSS_OPS * beta * n * n + beta**2 * n * r * r
     if "grad" in collect or "hessian" in collect:
         k = field.generator_block(beta).shape[0]
-        return float(n_samples) * beta**2 * n * n * (2 * n + comp.sector_params * k)
-    c = _factored_columns(comp, collect)
-    return float(n_samples) * (_GAUSS_OPS * beta * n * n + beta**2 * n * c * c)
+        ops += beta**2 * n * n * (r + comp.sector_params * k)
+    return float(n_samples) * ops
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -357,16 +355,15 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     here reads the fold: u enters only through |u_ij|^2 and
     u diag(rho) u^dagger, and negating a real column negates both factors of
     every product in them, which IEEE rounding keeps exact, so every output
-    is the one the folded draw gives, bit for bit.  A call that collects
-    losses only reads u through the rank(rho) columns the input reaches, the
-    first ones as rho is stored descending, so it orthonormalizes only those:
-    the gauged QR of the first k Gaussian columns is distributed as the first
-    k columns of a Haar matrix (Mezzadri 2007).  It still draws the whole
-    dim x dim Gaussian, so rng's stream moves as far as
-    haar_columns(beta, dim, dim, rng, size=n_samples) moves it, and a
-    loss-only call sees the Haar matrices of a call collecting gradients on
-    the same seed, up to the QR's rounding; at full rank the two are equal
-    bit for bit.
+    is the one the folded draw gives, bit for bit.  Both read u only through
+    the rank(rho) columns the input reaches, the first ones as rho is stored
+    descending, so only those are orthonormalized: the gauged QR of the
+    first k Gaussian columns is distributed as the first k columns of a Haar
+    matrix (Mezzadri 2007).  Every call still draws the whole dim x dim
+    Gaussian, so rng's stream moves as far as
+    haar_columns(beta, dim, dim, rng, size=n_samples) moves it, and calls on
+    the same seed that collect different quantities share their losses bit
+    for bit.
 
     When gradients or Hessians are collected the frames G come from one
     child stream, spawned once per call from rng's seed sequence
@@ -403,7 +400,8 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
         obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
         frame_rng = rng.split(1)[0]
-    cols = _factored_columns(comp, collect)
+    # rho is stored descending, so the columns it reaches come first
+    cols = int(np.count_nonzero(rho))
     batch = _auto_batch(beta, dim, p if want_hess else 0)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None
@@ -418,7 +416,7 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
             losses[rows] = raw - floor
         if not want_frames:
             return
-        rho_t = _conjugate_diag(beta, u, rho)
+        rho_t = _conjugate_diag(beta, u, rho[:cols])
         # drawn sample-major, so consecutive batches read the frame stream in
         # sample order; frames[i]: parameter i's G, shaped (b, dim, k)
         g = haar_columns(beta, dim, k, frame_rng, size=b * p)

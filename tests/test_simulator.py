@@ -386,28 +386,33 @@ class TestMcLandscape:
     @pytest.mark.parametrize("dim", [6, 32])
     @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
     def test_loss_only_call_sees_the_gradient_call_draws(self, beta, dim, rho):
-        # a loss-only call orthonormalizes only the leading rank(rho) columns
-        # of each Gaussian, the ones its loss reads; a call collecting
-        # gradients takes the gauged QR of all of them.  The leading columns
-        # of the two QRs agree up to rounding: at most 9.3e-16 of the largest
-        # raw loss in these cases, so 1e-14 bounds it with room, and at full
-        # rank both factor the same matrices, bit for bit
+        # every call orthonormalizes only the leading rank(rho) columns of
+        # each Gaussian, the ones the input reaches, so a loss-only call and
+        # a call collecting gradients or Hessians factor the same columns and
+        # give the same losses bit for bit, at every rank
         spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2] + [0.0] * (dim - 3),
                    "full": np.arange(1.0, dim + 1.0) / (dim * (dim + 1) / 2)}
         comp = component(beta=beta, dim=dim, rho=spectra[rho], index=1.5, params=2)
         n = 200
-        loss_rng = rng(65)
-        only = mc_landscape(comp, n, loss_rng)
+        only = mc_landscape(comp, n, rng(65))
         both = mc_landscape(comp, n, rng(65), collect=("loss", "grad"))
-        if rho == "full":
-            assert only.losses.tobytes() == both.losses.tobytes()
-        else:
-            raw = np.max(np.abs(both.losses + both.loss_floor))
-            np.testing.assert_allclose(only.losses, both.losses, rtol=0, atol=1e-14 * raw)
-        # the whole dim x dim Gaussian of every draw is still read from rng
+        assert only.losses.tobytes() == both.losses.tobytes()
+        # those columns are the leading ones of the Haar matrices the stream
+        # gives: the QR of all dim columns agrees with theirs up to rounding,
+        # at most 9.2e-16 of the largest raw loss in these cases, so 1e-14
+        # bounds it with room
         full_draw = rng(65)
-        haar_columns(beta, dim, dim, full_draw, size=n)
-        assert loss_rng.generator.bit_generator.state == full_draw.generator.bit_generator.state
+        u = haar_columns(beta, dim, dim, full_draw, size=n)
+        ref = comp.index * simulator._fast_losses(
+            beta, u, comp.observable_spectrum, comp.input_spectrum) - only.loss_floor
+        raw = np.max(np.abs(ref + only.loss_floor))
+        np.testing.assert_allclose(only.losses, ref, rtol=0, atol=1e-14 * raw)
+        # the whole dim x dim Gaussian of every draw is still read from rng,
+        # whichever quantities are collected
+        for collect in (("loss",), ("loss", "grad"), ("hessian",)):
+            r = rng(65)
+            mc_landscape(comp, n, r, collect=collect)
+            assert r.generator.bit_generator.state == full_draw.generator.bit_generator.state
 
     def test_returns_only_collected_quantities(self):
         comp = component(beta=2, dim=5, params=2)
