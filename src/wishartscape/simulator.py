@@ -283,25 +283,33 @@ BATCH_BYTES = 6.0e7
 BATCH_DRAWS = 4096
 
 
-def _auto_batch(beta: int, dim: int, hess_params: int) -> int:
+def _auto_batch(beta: int, dim: int, params: int, hessian: bool) -> int:
     """Draws per batch: at most BATCH_DRAWS, and few enough that a batch
     peaks below BATCH_BYTES.
 
-    Measured with tracemalloc on rank-3 inputs (beta = 1, 2, 4; N = 16, 64),
-    a draw that collects gradients peaks at 2.2-3.0 N x N field matrices (8,
-    16 or 32 bytes per entry): its N x N Gaussian, then rho~ and rho~ times
-    the observable gaps, with the parameter frames adding the rest at small
-    N; a loss-only draw peaks at 1.1-2.2, its Gaussian.  Collecting the
-    Hessian adds about 4-5 N x N field matrices per parameter for the
-    generators and their commutators.  The count below prices a draw at 5
+    A draw holds its N x N Gaussian and the r = rank(rho) columns factored
+    from it, and, for params parameter frames, each frame's N x k Gaussian,
+    its QR and the r x k products read from it; collecting the Hessian adds
+    the frames' adjoints, the k x k products of one row of parameter pairs
+    at a time and the p x p entries.  Measured with tracemalloc (beta = 1,
+    2, 4; N = 4, 16, 64; p = 3, 8, 40; rank-3 and rank-4 inputs), a
+    loss-only or gradient draw peaks at 1.1-2.9 N x N field matrices (8, 16
+    or 32 bytes per entry) for N >= 16 and 4.2-11.4 at N = 4, plus up to 8
+    N x k field matrices per parameter where those outweigh the Gaussian
+    (p >> N; at full rank the r x k reads are as large as the frames);
+    collecting the Hessian adds up to 12 N x k matrices per parameter and
+    about one p x p real matrix.  The count below prices the Gaussian at 5
     N x N matrices of a full QR's complex image (8, 16 or 64 bytes per
-    entry: for beta = 4 the image is 2N x 2N), which overstates it, so
-    gradient batches peak at a fifth to a half of the cap, plus 5 field
-    matrices per Hessian parameter, which binds.  A tighter count would
-    enlarge batches and with them a call's resident memory.
+    entry: for beta = 4 the image is 2N x 2N), each frame at 16 N x k field
+    matrices, and the Hessian at 16 more per frame and 8 p x p real
+    matrices, which also covers the p x p entries the call's result holds
+    per sample.
     """
     image, entry = {1: (8, 8), 2: (16, 16), 4: (64, 32)}[beta]
-    draw_bytes = 5 * dim * dim * (image + hess_params * entry)
+    frame = dim * field.generator_block(beta).shape[0] * entry
+    draw_bytes = 5 * dim * dim * image + 16 * params * frame
+    if hessian:
+        draw_bytes += 16 * params * frame + 8 * 8 * params * params
     return max(1, min(BATCH_DRAWS, int(BATCH_BYTES / draw_bytes)))
 
 
@@ -319,20 +327,68 @@ def _mc_cost(comp: SimpleComponent, n_samples: int, collect) -> float:
     multiplies of beta^2 real ones.  Per sample: the N x N Gaussian it
     draws, at _GAUSS_OPS per real normal, and the gauged QR of the
     r = rank(rho) columns the input reaches, N r^2.  With gradients or
-    Hessians, add the conjugation rho~ on those columns, N^2 r, and N^2 k per
-    parameter for its N x k frame (k the generator block's size)."""
-    n, beta = float(comp.dim), comp.beta
+    Hessians, add per parameter its N x k frame (k the generator block's
+    size), drawn and factored at the same rates, and the r x k reads
+    u^dagger G and (O u)^dagger G, 2 N r k; with Hessians, add per pair of
+    parameters the k x k products G_b^dagger G_a and G_b^dagger O G_a, 2 N k^2,
+    and their k x r products with the reads, 2 k^2 r."""
+    n, beta, p = float(comp.dim), comp.beta, comp.sector_params
     r = float(np.count_nonzero(comp.input_spectrum))
     ops = _GAUSS_OPS * beta * n * n + beta**2 * n * r * r
     if "grad" in collect or "hessian" in collect:
         k = field.generator_block(beta).shape[0]
-        ops += beta**2 * n * n * (r + comp.sector_params * k)
+        ops += p * (_GAUSS_OPS * beta * n * k + beta**2 * n * k * (k + 2 * r))
+        if "hessian" in collect:
+            ops += p * (p + 1) * beta**2 * k * k * (n + r)
     return float(n_samples) * ops
 
 
 def _fast_losses(beta: int, u: np.ndarray, obs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """index-free losses sum_mu rho_mu (U^dagger O U)_mumu from one Haar batch."""
     return np.einsum("bij,i,j->b", field.abs2(beta, u), obs, rho)
+
+
+def _frame_derivatives(beta: int, u: np.ndarray, frames: np.ndarray, obs: np.ndarray,
+                       rho: np.ndarray, blocks: np.ndarray,
+                       hessian: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """index-free gradients and, if hessian, Hessians at theta = 0 of a batch
+    of b draws, read through r x k products.
+
+    u holds each draw's r reached columns, shaped (b, N, r), frames each
+    parameter's G, shaped (b, p, N, k), and blocks the k x k generator blocks
+    J, shaped (p, k, k); O = diag(obs), D = diag(rho) and A = G J G^dagger.
+    With P = u^dagger G, Q = (O u)^dagger G and K = J P^dagger, the gradient
+    entry Re tr(G^dagger [rho~, O] G J) is 2 Re tr(K D Q): the bracket is
+    Y - Y^dagger with Y = P^dagger D Q, and Re tr(Y^dagger J) = -Re tr(Y J).
+    For a <= b, with L = J Q^dagger, S_ba = G_b^dagger G_a and
+    T_ba = G_b^dagger O G_a, the Hessian entry Re tr([rho~, A_b] [A_a, O])
+    (_hessian_entries' formula) is -2 Re tr((S_ba L_a - T_ba K_a)(K_b D)^dagger);
+    its four terms pair up under the cyclicity of Re tr and its invariance
+    under the adjoint.  The Hessian loops over a, taking every b >= a at once,
+    so no product spans all p^2 pairs.
+    """
+    ua = field.adjoint(beta, u)[:, None]
+    # P and Q stacked on a leading axis, then K = J P^dagger and L = J Q^dagger
+    pq = field.matmul(beta, np.stack([ua, field.scale_columns(beta, ua, obs)]), frames)
+    kk, ll = field.matmul(beta, blocks, field.adjoint(beta, pq))
+    kd = field.scale_columns(beta, kk, rho)
+    grads = 2.0 * field.re_trace_prod(beta, kd, pq[1])
+    if not hessian:
+        return grads, None
+    kd_adj = field.adjoint(beta, kd)
+    frames_adj = field.adjoint(beta, frames)
+    # G_b^dagger and (O G_b)^dagger times G_a give S_ba and T_ba; times
+    # L_a and -K_a and summed over the stacking axis, S_ba L_a - T_ba K_a
+    reads = np.stack([frames_adj, field.scale_columns(beta, frames_adj, obs)])
+    weights = np.stack([ll, -kk])
+    p = frames.shape[1]
+    out = np.empty((len(u), p, p))
+    for a in range(p):
+        st = field.matmul(beta, reads[:, :, a:], frames[:, a, None])
+        z = field.matmul(beta, st, weights[:, :, a, None])
+        out[:, a, a:] = -2.0 * np.sum(field.re_trace_prod(beta, z, kd_adj[:, a:]), axis=0)
+        out[:, a:, a] = out[:, a, a:]
+    return grads, out
 
 
 def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
@@ -345,25 +401,30 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     rho~ = u diag(rho) u^dagger with u Haar, and each parameter's conjugated
     generator A~ = G J G^dagger with G the first k columns of its own Haar
     frame and J the k x k generator block.  Gradient entries are
-    Re tr(G^dagger [rho~, O~] G J); the Hessian is _hessian_entries, the
-    formula hessian_eval uses.  The instance-by-instance route (build_ansatz
-    with loss_eval, grad_eval and hessian_eval) stays as the tests' oracle.
+    Re tr(G^dagger [rho~, O~] G J) and Hessian entries, for a <= b,
+    Re tr([rho~, A~_b] [A~_a, O~]), the formulas grad_eval and hessian_eval
+    use; both are read through r x k products of u's r reached columns with
+    each frame, u^dagger G and (O u)^dagger G, and k x k products of frame
+    pairs (_frame_derivatives), so no N x N matrix is formed after the
+    Gaussian.  The instance-by-instance route (build_ansatz with loss_eval,
+    grad_eval and hessian_eval) stays as the tests' oracle.
 
     The Haar matrices u come from rng's stream as the gauged QR of one
     dim x dim Gaussian each, haar_columns' kernel: Haar on O(N), U(N) or
     Sp(N), without haar_group's fold of beta = 1 draws onto SO(N).  Nothing
-    here reads the fold: u enters only through |u_ij|^2 and
-    u diag(rho) u^dagger, and negating a real column negates both factors of
-    every product in them, which IEEE rounding keeps exact, so every output
-    is the one the folded draw gives, bit for bit.  Both read u only through
-    the rank(rho) columns the input reaches, the first ones as rho is stored
-    descending, so only those are orthonormalized: the gauged QR of the
-    first k Gaussian columns is distributed as the first k columns of a Haar
-    matrix (Mezzadri 2007).  Every call still draws the whole dim x dim
-    Gaussian, so rng's stream moves as far as
-    haar_columns(beta, dim, dim, rng, size=n_samples) moves it, and calls on
-    the same seed that collect different quantities share their losses bit
-    for bit.
+    here reads the fold: a real u enters only through |u_ij|^2 and the
+    products u^T G and (O u)^T G, and negating column mu of u negates row mu
+    of both; every product the derivatives take pairs row mu of one with
+    row mu of the other or of itself, and IEEE rounding keeps the two sign
+    flips exact, so every output is the one the folded draw gives, bit for
+    bit.  Every read takes u only through the rank(rho) columns the input
+    reaches, the first ones as rho is stored descending, so only those are
+    orthonormalized: the gauged QR of the first k Gaussian columns is
+    distributed as the first k columns of a Haar matrix (Mezzadri 2007).
+    Every call still draws the whole dim x dim Gaussian, so rng's stream
+    moves as far as haar_columns(beta, dim, dim, rng, size=n_samples) moves
+    it, and calls on the same seed that collect different quantities share
+    their losses bit for bit.
 
     When gradients or Hessians are collected the frames G come from one
     child stream, spawned once per call from rng's seed sequence
@@ -394,15 +455,12 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
 
     if want_frames:
         # one generator block per parameter, stacked to broadcast over a batch
-        blocks = np.stack([_generator_block(comp, i) for i in range(p)])[:, None]
-        k = blocks.shape[2]
-        # [rho~, diag(o)] has entries rho~_ab (o_b - o_a)
-        obs_gaps = field.real_entries(beta, obs[None, :] - obs[:, None])
-        obs_t = field.scale_columns(beta, field.eye(beta, dim), obs)
+        blocks = np.stack([_generator_block(comp, i) for i in range(p)])
+        k = blocks.shape[1]
         frame_rng = rng.split(1)[0]
     # rho is stored descending, so the columns it reaches come first
     cols = int(np.count_nonzero(rho))
-    batch = _auto_batch(beta, dim, p if want_hess else 0)
+    batch = _auto_batch(beta, dim, p if want_frames else 0, want_hess)
     losses = np.empty(n_samples) if "loss" in collect else None
     grads = np.empty((n_samples, p)) if want_grad else None
     hessians = np.empty((n_samples, p, p)) if want_hess else None
@@ -416,19 +474,15 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
             losses[rows] = raw - floor
         if not want_frames:
             return
-        rho_t = _conjugate_diag(beta, u, rho[:cols])
         # drawn sample-major, so consecutive batches read the frame stream in
-        # sample order; frames[i]: parameter i's G, shaped (b, dim, k)
+        # sample order; frames[:, i]: parameter i's G, shaped (b, dim, k)
         g = haar_columns(beta, dim, k, frame_rng, size=b * p)
-        frames = np.swapaxes(g.reshape((b, p) + g.shape[1:]), 0, 1)
+        frames = g.reshape((b, p) + g.shape[1:])
+        entries, hess = _frame_derivatives(beta, u, frames, obs, rho[:cols], blocks, want_hess)
         if want_grad:
-            kg = field.matmul(beta, rho_t * obs_gaps, frames)
-            entries = field.re_trace_prod(
-                beta, field.matmul(beta, field.adjoint(beta, frames), kg), blocks)
-            grads[rows] = comp.index * entries.T
+            grads[rows] = comp.index * entries
         if want_hess:
-            gens = _conjugate(beta, frames, blocks)
-            hessians[rows] = comp.index * _hessian_entries(beta, rho_t, obs_t, gens)
+            hessians[rows] = comp.index * hess
 
     for start in range(0, n_samples, batch):
         draw(slice(start, min(start + batch, n_samples)))

@@ -439,8 +439,9 @@ class TestSimulate:
 
     def test_budget_counts_one_haar_matrix_per_sample(self, tmp_path, capsys):
         # C, N = 64, rank-one input, p = 60: 10 * (20 * 2 * 64^2 + 2^2 * 64 *
-        # 1^2 + 2^2 * 64^2 * (1 + 60)) = 1.2e7 operations.  The former count
-        # of p + 2 Haar matrices, 10 * 64^3 * 62 = 1.6e8, refused this run
+        # 1^2 + 60 * (20 * 2 * 64 + 2^2 * 64 * (1 + 2))) = 3.6e6 operations.
+        # The former count of p + 2 Haar matrices, 10 * 64^3 * 62 = 1.6e8,
+        # refused this run
         assert main(["simulate", "--model", str(DEMO_MODELS / "rank1_complex.json"),
                      "--out", str(tmp_path), "--samples", "10", "--budget", "1e8"]) == 0
 
@@ -475,8 +476,8 @@ class TestSimulate:
     def test_dimension_cap(self, tmp_path, capsys):
         # no dimension cap of its own: the budget refuses a large sector at
         # the default sample count (1000 * (20 * 2 * 500^2 + 2^2 * 500 +
-        # 2^2 * 500^2 * (1 + 1)) = 1.2e10 operations, over the 1e10 default)
-        # and lets two samples run
+        # 20 * 2 * 500 + 2^2 * 500 * (1 + 2)) = 1.003e10 operations, over the
+        # 1e10 default) and lets two samples run
         m = write_model(tmp_path / "big.json", dim=500, params=1)
         assert main(["simulate", "--model", str(m), "--out",
                      str(tmp_path / "o")]) == 2

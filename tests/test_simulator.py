@@ -358,21 +358,57 @@ class TestMcLandscape:
     @pytest.mark.parametrize("rho", ["pure", "rank3", "full"])
     def test_real_column_signs_leave_frame_reads_unchanged(self, rho):
         # mc_landscape's frames u are Haar on O(N), not folded onto SO(N): it
-        # reads u only through |u_ij|^2 and u diag(rho) u^T, and negating a
-        # column negates both factors of every product in them
+        # reads u only through |u_ij|^2 and the r x k products u^T G and
+        # (O u)^T G, and negating column mu of u negates row mu of both,
+        # which every product in the gradient and Hessian entries pairs
         spectra = {"pure": None, "rank3": [0.5, 0.3, 0.2, 0, 0, 0],
                    "full": np.arange(1.0, 7.0) / 21.0}
-        comp = component(beta=1, dim=6, rho=spectra[rho])
+        comp = component(beta=1, dim=6, rho=spectra[rho], params=3)
         obs, weights = comp.observable_spectrum, comp.input_spectrum
+        cols = int(np.count_nonzero(weights))
         u = haar_columns(1, 6, 6, rng(63), size=20)
+        frames = haar_columns(1, 6, 2, rng(66), size=20 * 3).reshape(20, 3, 6, 2)
+        blocks = np.stack([field.generator_block(1, i) for i in range(3)])
+
+        def derivatives(v):
+            grads, hessians = simulator._frame_derivatives(
+                1, v[:, :, :cols], frames, obs, weights[:cols], blocks, True)
+            return grads.tobytes(), hessians.tobytes()
+
         losses = simulator._fast_losses(1, u, obs, weights).tobytes()
-        rho_t = simulator._conjugate_diag(1, u, weights).tobytes()
+        reads = derivatives(u)
         signs = rng(64).generator.choice([-1.0, 1.0], size=(20, 1, 6))
         flips = [signs] + [np.where(np.arange(6) == col, -1.0, 1.0) for col in range(6)]
         for flip in flips:
             flipped = u * flip
             assert simulator._fast_losses(1, flipped, obs, weights).tobytes() == losses
-            assert simulator._conjugate_diag(1, flipped, weights).tobytes() == rho_t
+            assert derivatives(flipped) == reads
+
+    @pytest.mark.parametrize("beta,seed", [(1, 2601), (2, 2602), (4, 2604)])
+    def test_derivative_second_moments_match_exact_values(self, beta, seed):
+        # an oracle independent of the instance route: at theta = 0 the
+        # second moments of a gradient entry and of a Hessian diagonal entry
+        # are fixed multiples of the exact loss variance Var,
+        #   E[g_i^2]  = Var * {4/(N-1), 2/(N+1), 4/(2N+1)},
+        #   E[H_ii^2] = Var * {4(N+14)/((N-1)(N+2)), 2/(N+1), 4/(2N+1)}
+        # for beta = 1, 2, 4.  Seeds, sizes and the |z| <= 4 bound were fixed
+        # before the first run.
+        n, dim = 60000, 6
+        comp = component(beta=beta, dim=dim, rho=[0.5, 0.3, 0.2, 0, 0, 0], index=1.5, params=2)
+        var = exact_conjugation_variance(beta, comp.observable_spectrum,
+                                         comp.input_spectrum, index=1.5)
+        grad_ratio = {1: 4 / (dim - 1), 2: 2 / (dim + 1), 4: 4 / (2 * dim + 1)}[beta]
+        hess_ratio = {1: 4 * (dim + 14) / ((dim - 1) * (dim + 2)), 2: 2 / (dim + 1),
+                      4: 4 / (2 * dim + 1)}[beta]
+        mc = mc_landscape(comp, n, rng(seed), collect=("grad", "hessian"))
+        entries = {"g_0": (mc.gradients[:, 0], grad_ratio),
+                   "g_1": (mc.gradients[:, 1], grad_ratio),
+                   "H_00": (mc.hessians[:, 0, 0], hess_ratio),
+                   "H_11": (mc.hessians[:, 1, 1], hess_ratio)}
+        for name, (x, ratio) in entries.items():
+            sq = x ** 2
+            z = (sq.mean() - ratio * var) / (sq.std() / np.sqrt(n))
+            assert abs(z) <= 4.0, (name, sq.mean() / (ratio * var), z)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_hessian_leaves_losses_and_gradients_unchanged(self, beta):
@@ -430,13 +466,23 @@ class TestMcLandscape:
         (1, 64, 3, ("loss",)),
         (2, 64, 3, ("loss",)),
         (4, 64, 3, ("loss",)),
+        (1, 4, 40, ("loss", "grad")),
+        (2, 4, 40, ("loss", "grad")),
+        (4, 4, 40, ("loss", "grad")),
+        (1, 4, 40, ("loss", "grad", "hessian")),
+        (2, 4, 40, ("loss", "grad", "hessian")),
+        (4, 4, 40, ("loss", "grad", "hessian")),
     ])
     def test_batches_peak_below_cap(self, beta, dim, params, collect):
         # two full batches and one draw, so that a batch's arrays would show
-        # if they outlived it into the next batch's draws
-        comp = component(beta=beta, dim=dim, rho=[0.5, 0.3, 0.2] + [0.0] * (dim - 3),
-                         params=params)
-        batch = _auto_batch(beta, dim, params if "hessian" in collect else 0)
+        # if they outlived it into the next batch's draws.  At dim 4 the
+        # input is full-rank and p >> N, so that frames, the r x k reads and
+        # any product held over all p^2 pairs of parameters outweigh the
+        # N x N Gaussian
+        rho = [0.4, 0.3, 0.2, 0.1] if dim == 4 else [0.5, 0.3, 0.2] + [0.0] * (dim - 3)
+        comp = component(beta=beta, dim=dim, rho=rho, params=params)
+        frames = "grad" in collect or "hessian" in collect
+        batch = _auto_batch(beta, dim, params if frames else 0, "hessian" in collect)
         tracemalloc.start()
         try:
             mc_landscape(comp, 2 * batch + 1, rng(60), collect=collect)
