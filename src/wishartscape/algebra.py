@@ -382,7 +382,11 @@ def dim_automorphism(field, dim: int) -> int:
 
 
 def purity(spectrum) -> float:
-    """Sum of squared weights over squared total weight; 1 iff rank one."""
+    """Sum of squared weights over squared total weight; 1 iff rank one.
+
+    The weights are divided by the largest before they are squared or
+    summed, so that neither the squares nor the sum leave the float range.
+    """
     eigs = weights("spectrum", spectrum)
-    total = float(np.sum(eigs))
-    return float(np.sum(eigs * eigs) / (total * total))
+    w = eigs / np.max(eigs)
+    return float(np.sum(w * w) / np.sum(w) ** 2)

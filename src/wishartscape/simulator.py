@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import (SimpleComponent, _object_rule, finite_vector,
                       nonnegative_int, positive_float, positive_int, simple_component)
 from .errors import UnsupportedConfigurationError, ValidationError
-from .randmat import RngState, _gauss, _stiefel_batch, haar_columns, haar_group, rng_state
+from .randmat import RngState, _gauss, _stiefel_batch, haar_group, rng_state
 from . import field
 
 __all__ = [
@@ -289,21 +289,21 @@ def _auto_batch(beta: int, dim: int, params: int, hessian: bool) -> int:
 
     A draw holds its N x N Gaussian and the r = rank(rho) columns factored
     from it, and, for params parameter frames, each frame's N x k Gaussian,
-    its QR and the r x k products read from it; collecting the Hessian adds
-    the frames' adjoints, the k x k products of one row of parameter pairs
-    at a time and the p x p entries.  Measured with tracemalloc (beta = 1,
-    2, 4; N = 4, 16, 64; p = 3, 8, 40; rank-3 and rank-4 inputs), a
-    loss-only or gradient draw peaks at 1.1-2.9 N x N field matrices (8, 16
-    or 32 bytes per entry) for N >= 16 and 4.2-11.4 at N = 4, plus up to 8
-    N x k field matrices per parameter where those outweigh the Gaussian
-    (p >> N; at full rank the r x k reads are as large as the frames);
-    collecting the Hessian adds up to 12 N x k matrices per parameter and
-    about one p x p real matrix.  The count below prices the Gaussian at 5
-    N x N matrices of a full QR's complex image (8, 16 or 64 bytes per
-    entry: for beta = 4 the image is 2N x 2N), each frame at 16 N x k field
-    matrices, and the Hessian at 16 more per frame and 8 p x p real
-    matrices, which also covers the p x p entries the call's result holds
-    per sample.
+    its k x k Gram read and the r x k products read from it; collecting the
+    Hessian adds the frames' adjoints, the k x k products of one row of
+    parameter pairs at a time and the p x p entries.  Measured with
+    tracemalloc (beta = 1, 2, 4; N = 4, 16, 64; p = 3, 8, 40; rank-3 and
+    rank-4 inputs), a loss-only or gradient draw peaks at 1.1-2.9 N x N
+    field matrices (8, 16 or 32 bytes per entry) for N >= 16 and 4.2-11.4 at
+    N = 4, plus up to 8 N x k field matrices per parameter where those
+    outweigh the Gaussian (p >> N; at full rank the r x k reads are as large
+    as the frames); collecting the Hessian adds up to 12 N x k matrices per
+    parameter and about one p x p real matrix.  The count below prices the
+    Gaussian at 5 N x N matrices of a full QR's complex image (8, 16 or 64
+    bytes per entry: for beta = 4 the image is 2N x 2N), each frame at
+    16 N x k field matrices, and the Hessian at 16 more per frame and 8
+    p x p real matrices, which also covers the p x p entries the call's
+    result holds per sample.
     """
     image, entry = {1: (8, 8), 2: (16, 16), 4: (64, 32)}[beta]
     frame = dim * field.generator_block(beta).shape[0] * entry
@@ -328,10 +328,11 @@ def _mc_cost(comp: SimpleComponent, n_samples: int, collect) -> float:
     draws, at _GAUSS_OPS per real normal, and the gauged QR of the
     r = rank(rho) columns the input reaches, N r^2.  With gradients or
     Hessians, add per parameter its N x k frame (k the generator block's
-    size), drawn and factored at the same rates, and the r x k reads
-    u^dagger G and (O u)^dagger G, 2 N r k; with Hessians, add per pair of
-    parameters the k x k products G_b^dagger G_a and G_b^dagger O G_a, 2 N k^2,
-    and their k x r products with the reads, 2 k^2 r."""
+    size), drawn and its k x k Gram read at the same rates, and the r x k
+    reads u^dagger G and (O u)^dagger G, 2 N r k; with Hessians, add per
+    pair of parameters the k x k products G_b^dagger G_a and
+    G_b^dagger O G_a, 2 N k^2, and their k x r products with the reads,
+    2 k^2 r."""
     n, beta, p = float(comp.dim), comp.beta, comp.sector_params
     r = float(np.count_nonzero(comp.input_spectrum))
     ops = _GAUSS_OPS * beta * n * n + beta**2 * n * r * r
@@ -355,8 +356,9 @@ def _frame_derivatives(beta: int, u: np.ndarray, frames: np.ndarray, obs: np.nda
     of b draws, read through r x k products.
 
     u holds each draw's r reached columns, shaped (b, N, r), frames each
-    parameter's G, shaped (b, p, N, k), and blocks the k x k generator blocks
-    J, shaped (p, k, k); O = diag(obs), D = diag(rho) and A = G J G^dagger.
+    parameter's G, shaped (b, p, N, k) and not assumed orthonormal, and
+    blocks the k x k generator blocks J, shaped (p, k, k); O = diag(obs),
+    D = diag(rho) and A = G J G^dagger.
     With P = u^dagger G, Q = (O u)^dagger G and K = J P^dagger, the gradient
     entry Re tr(G^dagger [rho~, O] G J) is 2 Re tr(K D Q): the bracket is
     Y - Y^dagger with Y = P^dagger D Q, and Re tr(Y^dagger J) = -Re tr(Y J).
@@ -391,6 +393,24 @@ def _frame_derivatives(beta: int, u: np.ndarray, frames: np.ndarray, obs: np.nda
     return grads, out
 
 
+def _frame_scale(beta: int, g: np.ndarray) -> np.ndarray:
+    """s with g J g^dagger = s G J G^dagger, for each N x k Gaussian g of a
+    batch, G its gauged QR and J a k x k generator block.
+
+    Over C and H, k = 1, G = g / |g| and s = |g|^2.  Over R, k = 2 and g = G R
+    with R upper triangular of positive diagonal; M J M^T = det(M) J for every
+    real 2 x 2 M, so s = r11 r22 = |g1| |g2 - (g1.g2 / |g1|^2) g1|, read from
+    that residual rather than from |g1|^2 |g2|^2 - (g1.g2)^2, which cancels
+    when the two columns are nearly parallel.
+    """
+    if beta != 1:
+        return np.sum(field.abs2(beta, g), axis=(-2, -1))
+    g1, g2 = g[..., 0], g[..., 1]
+    n1 = np.sum(g1 * g1, axis=-1)
+    resid = g2 - (np.sum(g1 * g2, axis=-1) / n1)[..., None] * g1
+    return np.sqrt(n1 * np.sum(resid * resid, axis=-1))
+
+
 def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
                  collect=("loss",)) -> McLandscape:
     """Monte Carlo distributions of loss, gradient and Hessian entries.
@@ -406,7 +426,12 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     use; both are read through r x k products of u's r reached columns with
     each frame, u^dagger G and (O u)^dagger G, and k x k products of frame
     pairs (_frame_derivatives), so no N x N matrix is formed after the
-    Gaussian.  The instance-by-instance route (build_ansatz with loss_eval,
+    Gaussian.  No frame is orthonormalized either: G is the gauged QR of an
+    N x k Gaussian g, and g J g^dagger = s G J G^dagger with s = |g|^2 over
+    C and H and s the determinant of the 2 x 2 triangular factor over R
+    (_frame_scale).  So the derivatives are read off the raw g and scaled by
+    1/s, gradient entry a by 1/s_a and Hessian entry (a, b) by
+    1/(s_a s_b).  The instance-by-instance route (build_ansatz with loss_eval,
     grad_eval and hessian_eval) stays as the tests' oracle.
 
     The Haar matrices u come from rng's stream as the gauged QR of one
@@ -426,11 +451,12 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
     it, and calls on the same seed that collect different quantities share
     their losses bit for bit.
 
-    When gradients or Hessians are collected the frames G come from one
-    child stream, spawned once per call from rng's seed sequence
-    (rng.split(1)) and drawn sample by sample.  So no draw depends on how
-    the samples are batched, and adding "hessian" leaves the losses and
-    gradients unchanged.
+    When gradients or Hessians are collected the frames' Gaussians g come
+    from one child stream, spawned once per call from rng's seed sequence
+    (rng.split(1)) and drawn sample by sample: the Gaussians
+    haar_columns(beta, dim, k, child, size=n_samples * p) would factor.  So
+    no draw depends on how the samples are batched, and adding "hessian"
+    leaves the losses and gradients unchanged.
     """
     if isinstance(collect, str) or not np.iterable(collect):
         raise ValidationError(
@@ -475,14 +501,17 @@ def mc_landscape(comp: SimpleComponent, n_samples: int, rng: RngState, *,
         if not want_frames:
             return
         # drawn sample-major, so consecutive batches read the frame stream in
-        # sample order; frames[:, i]: parameter i's G, shaped (b, dim, k)
-        g = haar_columns(beta, dim, k, frame_rng, size=b * p)
+        # sample order; frames[:, i]: parameter i's unfactored Gaussian g,
+        # shaped (b, dim, k)
+        g = _gauss(beta, (b * p, dim, k), frame_rng)
         frames = g.reshape((b, p) + g.shape[1:])
         entries, hess = _frame_derivatives(beta, u, frames, obs, rho[:cols], blocks, want_hess)
+        inv = 1.0 / _frame_scale(beta, frames)
         if want_grad:
-            grads[rows] = comp.index * entries
+            grads[rows] = comp.index * (entries * inv)
         if want_hess:
-            hessians[rows] = comp.index * hess
+            # one product per pair, so that the entries stay bitwise symmetric
+            hessians[rows] = comp.index * (hess * (inv[:, :, None] * inv[:, None, :]))
 
     for start in range(0, n_samples, batch):
         draw(slice(start, min(start + batch, n_samples)))

@@ -322,6 +322,15 @@ class TestPurityAndIndex:
     def test_purity_scale_invariance(self):
         assert purity([2, 1, 1]) == pytest.approx(purity([0.5, 0.25, 0.25]))
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-200, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("spectrum,expect", [([1, 0, 0], 1.0), ([1, 3], 0.625),
+                                                 ([1, 1, 1, 1], 0.25)],
+                             ids=["rank-one", "rank-two", "mixed"])
+    def test_purity_over_the_float_range(self, scale, spectrum, expect):
+        # a float squared underflows below about 1e-162 and overflows above
+        # about 1e154, weights and trace alike
+        assert purity(scale * np.array(spectrum, dtype=float)) == pytest.approx(expect)
+
     def test_purity_validation(self):
         with pytest.raises(ValidationError):
             purity([-0.5, 1.5])

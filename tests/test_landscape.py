@@ -571,6 +571,8 @@ class TestLowPurity:
         mixed = component(beta=2, dim=16, rho=np.full(16, 1.0 / 16.0))
         pure = component(beta=2, dim=16)
         assert low_purity_applicable(mixed)
+        # a trace whose square underflows leaves the purity 1/16
+        assert low_purity_applicable(component(beta=2, dim=16, rho=np.full(16, 1e-200)))
         assert not low_purity_applicable(pure)
 
     def test_bound_value(self):

@@ -384,6 +384,18 @@ class TestMcLandscape:
             assert simulator._fast_losses(1, flipped, obs, weights).tobytes() == losses
             assert derivatives(flipped) == reads
 
+    def test_real_frame_scale_is_the_triangular_determinant(self):
+        # s = r11 r22 of the 2 x 2 QR factor, also for nearly parallel
+        # columns, where |g1|^2 |g2|^2 - (g1.g2)^2 cancels: there both sides
+        # carry a relative error near eps / 1e-9
+        g = rng(67).generator.standard_normal((40, 6, 2))
+        g[0, :, 1] = g[0, :, 0] + 1e-9 * g[0, :, 1]
+        r = np.linalg.qr(g)[1]
+        det = np.abs(r[:, 0, 0] * r[:, 1, 1])
+        s = simulator._frame_scale(1, g)
+        np.testing.assert_allclose(s[1:], det[1:], rtol=1e-14)
+        np.testing.assert_allclose(s[0], det[0], rtol=1e-6)
+
     @pytest.mark.parametrize("beta,seed", [(1, 2601), (2, 2602), (4, 2604)])
     def test_derivative_second_moments_match_exact_values(self, beta, seed):
         # an oracle independent of the instance route: at theta = 0 the
@@ -491,8 +503,9 @@ class TestMcLandscape:
             tracemalloc.stop()
         assert peak <= BATCH_BYTES
 
-    def test_hessian_route_shapes(self):
-        comp = component(beta=2, dim=5, params=3)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_hessian_route_shapes(self, beta):
+        comp = component(beta=beta, dim=5, params=3)
         mc = mc_landscape(comp, 7, rng(53), collect=("loss", "grad", "hessian"))
         assert mc.losses.shape == (7,)
         assert mc.gradients.shape == (7, 3)
