@@ -14,8 +14,6 @@ import numpy as np
 from wishartscape import (
     RngState,
     build_ansatz,
-    fd_gradient,
-    fd_hessian,
     grad_eval,
     hessian_eval,
     load_model,
@@ -46,11 +44,25 @@ print(f"  first conjugator unitarity defect: {defect:.3e}")
 print(f"  loss at a random point: {loss_eval(inst, theta):.6f}")
 print()
 
-# analytic derivatives against central finite differences
+# analytic derivatives against central finite differences of the loss
+# around theta = 0, with steps 1e-5 (gradient) and 1e-3 (Hessian)
+def loss_at(*moves):
+    theta = np.zeros(comp.sector_params)
+    for i, step in moves:
+        theta[i] += step
+    return loss_eval(inst, theta)
+
+
+p, gs, hs = comp.sector_params, 1e-5, 1e-3
 g = grad_eval(inst)
-g_fd = fd_gradient(inst)
+g_fd = np.array([(loss_at((i, gs)) - loss_at((i, -gs))) / (2.0 * gs) for i in range(p)])
 h = hessian_eval(inst)
-h_fd = fd_hessian(inst)
+h_fd = np.empty((p, p))
+for a in range(p):
+    for b in range(a, p):
+        pp, pm, mp, mm = (loss_at((a, sa * hs), (b, sb * hs))
+                          for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        h_fd[a, b] = h_fd[b, a] = (pp - pm - mp + mm) / (4.0 * hs * hs)
 print("derivatives at the instance's own parameter point")
 print(f"  gradient:  max |analytic - fd| = {np.max(np.abs(g - g_fd)):.3e}")
 print(f"  hessian:   max |analytic - fd| = {np.max(np.abs(h - h_fd)):.3e}")

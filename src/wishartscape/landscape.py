@@ -8,6 +8,7 @@ cross-checks in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,11 @@ def _underparameterized_moments(
     model: SectorModel,
 ) -> tuple[list[SimpleComponent], np.ndarray, np.ndarray]:
     """Underparameterized sectors with the means and variances of their
-    gamma factors in the minima law."""
+    gamma factors in the minima law.  Their summed variance sets the minima
+    grid's extent and the gamma fit's shape, so it is refused once it falls
+    below the smallest normal float (a tiny input trace squared)."""
     ratios = overparameterization_ratios(model)
-    under, means, variances = [], [], []
+    under, means, variances, where = [], [], [], []
     for a, (comp, gamma) in enumerate(zip(model.components, ratios)):
         if gamma < 1.0:
             mean, beta_dof = _sector_law(comp)
@@ -175,6 +178,11 @@ def _underparameterized_moments(
             variances.append(_in_range(
                 f"sector {a}", "the variance 2 mean^2 / (beta r) of its minima-law factor",
                 lambda: mean**2 * 2.0 / beta_dof))
+            where.append(str(a))
+    if under and sum(variances) < sys.float_info.min:
+        raise ValidationError(
+            f"sector{'s' if len(where) > 1 else ''} {', '.join(where)}: the summed variance "
+            "2 mean^2 / (beta r) of the minima-law factors underflows the float range")
     return under, np.array(means), np.array(variances)
 
 

@@ -4,9 +4,10 @@ The three division algebras are addressed by beta in {1, 2, 4} (real, complex,
 quaternion).  Matrices are stored as the field module stores them: plain real
 and complex ndarrays, and quaternion matrices in the (..., n, m, 4) layout.
 
-Scaling convention: gauss_matrix entries have each real component distributed
-N(0, 1), so E|entry|^2 = beta.  The Wishart samplers divide by beta so that
-beta * W_ii is chi^2 with beta * dof degrees of freedom and E[W] = dof * I.
+Scaling convention: every sampler draws its Gaussians through _gauss, whose
+entries have each real component distributed N(0, 1), so E|entry|^2 = beta.
+The Wishart samplers divide by beta so that beta * W_ii is chi^2 with
+beta * dof degrees of freedom and E[W] = dof * I.
 
 Haar draws for every field come from one kernel: the QR factorization of a
 Gaussian matrix with the gauge fixed so that R has a positive real diagonal,
@@ -33,15 +34,11 @@ from . import field
 
 __all__ = [
     "RngState",
-    "gauss_matrix",
     "WishartSample",
     "wishart_direct",
     "wishart_bartlett",
     "haar_group",
     "haar_columns",
-    "marchenko_pastur_support",
-    "marchenko_pastur_pdf",
-    "marchenko_pastur_atom",
     "mp_log_moment",
 ]
 
@@ -83,15 +80,6 @@ def _generator(rng) -> np.random.Generator:
     if type(rng) is RngState:  # the common case
         return rng._generator
     return rng_state("rng", rng).generator
-
-
-def gauss_matrix(beta: int, rows: int, cols: int, rng: RngState) -> np.ndarray:
-    """Standard Gaussian matrix over the field addressed by beta.
-
-    Every real component of every entry is independent N(0, 1).
-    """
-    beta = beta_of(beta)
-    return _gauss(beta, (positive_int("rows", rows), positive_int("cols", cols)), rng)
 
 
 def _gauss(beta: int, shape: tuple, rng: RngState) -> np.ndarray:
@@ -214,7 +202,7 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
     """First n_cols columns of a Haar matrix (uniform Stiefel frame).
 
     Equal in law to slicing haar_group output but only orthonormalizes the
-    requested columns, which is what the Monte Carlo paths batch over.
+    requested columns.
     """
     beta = beta_of(beta)
     dim = positive_int("dim", dim)
@@ -228,31 +216,6 @@ def haar_columns(beta: int, dim: int, n_cols: int, rng: RngState,
 
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur law for W / dof with aspect ratio gamma = dim / dof.
-
-def marchenko_pastur_support(gamma: float) -> tuple[float, float]:
-    gamma = positive_float("gamma", gamma)
-    lo = (1.0 - np.sqrt(gamma)) ** 2
-    hi = (1.0 + np.sqrt(gamma)) ** 2
-    return lo, hi
-
-
-def marchenko_pastur_atom(gamma: float) -> float:
-    """Mass of the point at zero (nonzero only past the square aspect)."""
-    gamma = positive_float("gamma", gamma)
-    return max(0.0, 1.0 - 1.0 / gamma)
-
-
-def marchenko_pastur_pdf(gamma: float, lam) -> np.ndarray:
-    """Density of the continuous part at lam; zero off the bulk support."""
-    gamma = positive_float("gamma", gamma)
-    lam = real_array("lam", lam)
-    lo, hi = marchenko_pastur_support(gamma)
-    inside = (lam > lo) & (lam < hi)
-    out = np.zeros_like(lam)
-    lam_in = lam[inside]
-    out[inside] = np.sqrt((hi - lam_in) * (lam_in - lo)) / (2.0 * np.pi * gamma * lam_in)
-    return out
-
 
 def mp_log_moment(gamma: float) -> float:
     """Integral of ln(lambda) against the Marchenko-Pastur law.

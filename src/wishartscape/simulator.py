@@ -6,8 +6,9 @@ compact group, A_i an anti-Hermitian unit generator (build_ansatz takes the
 canonical one), and the loss index * Re tr(rho U^dagger O U) with rho and O
 diagonal in their stored eigenbases.  The loss and both derivatives read the
 generators the instance holds: the loss through the closed-form exponential,
-the derivatives analytically at theta = 0 through commutator traces;
-finite-difference versions exist for cross-checking.
+the derivatives analytically at theta = 0 through commutator traces.  The
+central finite differences of loss_eval that cross-check them are test
+oracles (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebra import (SimpleComponent, _object_rule, finite_vector,
-                      nonnegative_int, positive_float, positive_int, simple_component)
+                      nonnegative_int, positive_int, simple_component)
 from .errors import UnsupportedConfigurationError, ValidationError
 from .randmat import RngState, _gauss, _stiefel_batch, haar_group, rng_state
 from . import field
@@ -29,14 +30,9 @@ __all__ = [
     "loss_eval",
     "grad_eval",
     "hessian_eval",
-    "fd_gradient",
-    "fd_hessian",
     "McLandscape",
     "mc_landscape",
 ]
-
-GRAD_FD_STEP = 1e-5
-HESS_FD_STEP = 1e-3
 
 
 def _conjugate(beta: int, g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -229,43 +225,6 @@ def hessian_eval(inst: AnsatzInstance) -> np.ndarray:
     rho_t, obs_t = _frames(inst)
     gens = np.stack([inst.conjugated_generator(i) for i in range(inst.n_params)])
     return comp.index * _hessian_entries(comp.beta, rho_t, obs_t, gens)
-
-
-def fd_gradient(inst: AnsatzInstance, step: float = GRAD_FD_STEP) -> np.ndarray:
-    """Central finite differences of loss_eval around theta = 0."""
-    step = positive_float("step", step)
-    p = ansatz_instance("inst", inst).n_params
-    out = np.empty(p)
-    theta = np.zeros(p)
-    for i in range(p):
-        theta[i] = step
-        up = loss_eval(inst, theta)
-        theta[i] = -step
-        down = loss_eval(inst, theta)
-        theta[i] = 0.0
-        out[i] = (up - down) / (2.0 * step)
-    return out
-
-
-def fd_hessian(inst: AnsatzInstance, step: float = HESS_FD_STEP) -> np.ndarray:
-    """Nested central differences of loss_eval around theta = 0."""
-    step = positive_float("step", step)
-    p = ansatz_instance("inst", inst).n_params
-    out = np.empty((p, p))
-    theta = np.zeros(p)
-    for a in range(p):
-        for b in range(a, p):
-            vals = []
-            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                theta[a] += sa * step
-                theta[b] += sb * step
-                vals.append(loss_eval(inst, theta))
-                theta[a] = 0.0
-                theta[b] = 0.0
-            out[a, b] = out[b, a] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
-                4.0 * step * step
-            )
-    return out
 
 
 @dataclass(frozen=True)

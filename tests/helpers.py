@@ -11,10 +11,12 @@ from wishartscape import (
     FIELD_C,
     FIELD_H,
     FIELD_R,
+    AnsatzInstance,
     RngState,
     SectorModel,
     SimpleComponent,
     ValidationError,
+    loss_eval,
 )
 from wishartscape.algebra import finite_float, finite_vector
 
@@ -229,6 +231,69 @@ def quaternion_gram_schmidt(g: np.ndarray) -> np.ndarray:
     return cols
 
 
+def fd_gradient(inst: AnsatzInstance, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of loss_eval around theta = 0, the oracle
+    for the analytic gradient."""
+    p = inst.n_params
+    out = np.empty(p)
+    theta = np.zeros(p)
+    for i in range(p):
+        theta[i] = step
+        up = loss_eval(inst, theta)
+        theta[i] = -step
+        down = loss_eval(inst, theta)
+        theta[i] = 0.0
+        out[i] = (up - down) / (2.0 * step)
+    return out
+
+
+def fd_hessian(inst: AnsatzInstance, step: float = 1e-3) -> np.ndarray:
+    """Nested central differences of loss_eval around theta = 0, the oracle
+    for the analytic Hessian."""
+    p = inst.n_params
+    out = np.empty((p, p))
+    theta = np.zeros(p)
+    for a in range(p):
+        for b in range(a, p):
+            vals = []
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                theta[a] += sa * step
+                theta[b] += sb * step
+                vals.append(loss_eval(inst, theta))
+                theta[a] = 0.0
+                theta[b] = 0.0
+            out[a, b] = out[b, a] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
+                4.0 * step * step
+            )
+    return out
+
+
+# Marchenko-Pastur law of W / dof with aspect ratio gamma = dim / dof: the
+# reference the Wishart samplers' pooled spectra and randmat.mp_log_moment
+# are checked against.
+
+def marchenko_pastur_support(gamma: float) -> tuple[float, float]:
+    lo = (1.0 - np.sqrt(gamma)) ** 2
+    hi = (1.0 + np.sqrt(gamma)) ** 2
+    return lo, hi
+
+
+def marchenko_pastur_atom(gamma: float) -> float:
+    """Mass of the point at zero (nonzero only past the square aspect)."""
+    return max(0.0, 1.0 - 1.0 / gamma)
+
+
+def marchenko_pastur_pdf(gamma: float, lam) -> np.ndarray:
+    """Density of the continuous part at lam; zero off the bulk support."""
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = marchenko_pastur_support(gamma)
+    inside = (lam > lo) & (lam < hi)
+    out = np.zeros_like(lam)
+    lam_in = lam[inside]
+    out[inside] = np.sqrt((hi - lam_in) * (lam_in - lo)) / (2.0 * np.pi * gamma * lam_in)
+    return out
+
+
 def mp_log_moment_quadrature(gamma: float) -> float:
     """Log-moment of the Marchenko-Pastur bulk by adaptive quadrature.
 
@@ -238,8 +303,7 @@ def mp_log_moment_quadrature(gamma: float) -> float:
     """
     from scipy.integrate import quad
 
-    lo = (1.0 - np.sqrt(gamma)) ** 2
-    hi = (1.0 + np.sqrt(gamma)) ** 2
+    lo, hi = marchenko_pastur_support(gamma)
     width = hi - lo
 
     def integrand(u: float) -> float:

@@ -16,8 +16,12 @@ from scipy.integrate import quad
 
 from helpers import (
     component,
+    fd_gradient,
+    fd_hessian,
     ks_2samp_critical,
     ks_critical,
+    marchenko_pastur_pdf,
+    marchenko_pastur_support,
     project_into_component,
     rng,
     single_model,
@@ -30,15 +34,11 @@ from wishartscape import (
     build_ansatz,
     build_minima_density,
     dim_automorphism,
-    fd_gradient,
-    fd_hessian,
     grad_eval,
     hessian_eval,
     loss_cdf_rank1,
     loss_pdf_rank1,
     loss_variance,
-    marchenko_pastur_pdf,
-    marchenko_pastur_support,
     mc_landscape,
     mp_log_moment,
     rank1_gamma_params,

@@ -28,7 +28,6 @@ from wishartscape import (
     beta_of,
     dim_automorphism,
     field_from_symbol,
-    gauss_matrix,
     haar_columns,
     haar_group,
     purity,
@@ -71,7 +70,6 @@ _BETA_TAKERS = {
     "SimpleComponent": lambda b: SimpleComponent(
         field=b, dim=2, index=1.0, observable_spectrum=[0.0, 1.0],
         input_spectrum=[1.0, 0.0]).beta,
-    "gauss_matrix": lambda b: gauss_matrix(b, 2, 3, RngState(0)),
     "wishart_direct": lambda b: wishart_direct(b, 2, 3, RngState(0)).beta,
     "wishart_bartlett": lambda b: wishart_bartlett(b, 2, 3, RngState(0)).beta,
     "haar_group": lambda b: haar_group(b, 3, RngState(0)),

@@ -24,7 +24,6 @@ from wishartscape import (
     loss_eval,
     loss_pdf_rank1,
     loss_variance,
-    marchenko_pastur_pdf,
     mc_landscape,
     purity,
     regularized_hessian_sample,
@@ -59,7 +58,6 @@ PROBES = {
     "gradient-z": ("z_values", lambda: sample_gradient_given_loss(_model(), ["a"], rng(0))),
     "loss-theta": ("theta", lambda: loss_eval(build_ansatz(_comp(), rng(0)), ["a", "b"])),
     "mc-collect": ("collect", lambda: mc_landscape(_comp(), 3, rng(0), collect=5)),
-    "mp-pdf-grid": ("lam", lambda: marchenko_pastur_pdf(0.5, ["a"])),
     "loss-pdf-grid": ("z", lambda: loss_pdf_rank1(_comp(), "a")),
     "minima-at": ("z", lambda: build_minima_density(_model()).at("a")),
     # counts and numbers read outside the probes above

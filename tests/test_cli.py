@@ -159,6 +159,13 @@ class TestParsing:
     INDEX_TIMES_SPECTRUM = {"index": 1e100, "observable_spectrum": [0, 1e100, 2e100, 3e100]}
     TRACE_REFUSAL = ("component 1: input_spectrum must have a trace whose cube is finite, "
                      "got 1e+200")
+    # a sector whose minima-law variance, its tiny mean squared, underflows;
+    # a model of two such sectors is refused
+    TINY_TRACE = {"field": "R", "dim": 4, "index": 1, "observable_spectrum": [0, 1, 2, 3],
+                  "input_spectrum": {"pure": True, "trace": 1e-200}, "sector_params": 1}
+    UNDERFLOW = {"components": [TINY_TRACE, TINY_TRACE]}
+    UNDERFLOW_REFUSAL = ("sectors 0, 1: the summed variance 2 mean^2 / (beta r) of the "
+                         "minima-law factors underflows the float range")
     PRODUCT_OVERFLOW = {
         "pure-trace-analyze": ({}, PURE_TRACE, "analyze", TRACE_REFUSAL),
         "pure-trace-minima": ({}, PURE_TRACE, "minima", TRACE_REFUSAL),
@@ -170,6 +177,8 @@ class TestParsing:
         "normalization-analyze": ({"normalization": 1e150}, {}, "analyze",
                                   "sector 0: the third-cumulant scale normalization^3 "
                                   "index^3 obar^3 tr(rho^3) / r^2 overflows the float range"),
+        "underflow-analyze": (UNDERFLOW, {}, "analyze", UNDERFLOW_REFUSAL),
+        "underflow-minima": (UNDERFLOW, {}, "minima", UNDERFLOW_REFUSAL),
     }
 
     @pytest.mark.parametrize("case", sorted(PRODUCT_OVERFLOW))
@@ -187,6 +196,14 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+    def test_one_underflowing_sector_is_kept(self, tmp_path):
+        # the other sector's variance keeps the summed one in the float range
+        sector = {**self.TINY_TRACE, "input_spectrum": {"pure": True}}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"total_params": 2,
+                                    "components": [sector, self.TINY_TRACE]}))
+        assert main(["analyze", "--model", str(path)]) == 0
 
     def test_minima_reads_no_normalization(self, tmp_path):
         # the minima law is unnormalized, so a normalization whose cube

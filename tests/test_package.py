@@ -20,11 +20,16 @@ def test_each_name_is_its_home_module_object():
 
 
 def test_removed_names_are_gone():
-    # the sector-algebra reference steps live in tests/helpers; the co-diagonal
-    # covariance was the Wishart-process law, wrong for distinct inputs
+    # the sector-algebra reference steps, the finite differences and the
+    # Marchenko-Pastur density live in tests/helpers as oracles; the
+    # co-diagonal covariance was the Wishart-process law, wrong for distinct
+    # inputs; the samplers draw their Gaussians through randmat._gauss
     removed = {algebra: ("index_constant", "project_into_component", "spin_factor_reduce"),
                landscape: ("gp_covariance_diagonal",),
-               errors: ("DegenerateElementError", "BasisValidationError")}
+               errors: ("DegenerateElementError", "BasisValidationError"),
+               simulator: ("fd_gradient", "fd_hessian", "GRAD_FD_STEP", "HESS_FD_STEP"),
+               randmat: ("gauss_matrix", "marchenko_pastur_support", "marchenko_pastur_pdf",
+                         "marchenko_pastur_atom")}
     for module, names in removed.items():
         for name in names:
             assert not hasattr(wishartscape, name), name

@@ -14,6 +14,9 @@ from helpers import (
     exact_conjugation_variance,
     ks_2samp_critical,
     ks_critical,
+    marchenko_pastur_atom,
+    marchenko_pastur_pdf,
+    marchenko_pastur_support,
     mp_log_moment_quadrature,
     qdagger,
     qmatmul,
@@ -27,15 +30,12 @@ from wishartscape.randmat import (
     _bartlett_mask,
     _gamma_cdf,
     _gamma_pdf,
+    _gauss,
     _qr_frames,
     BETAS,
     RngState,
-    gauss_matrix,
     haar_columns,
     haar_group,
-    marchenko_pastur_atom,
-    marchenko_pastur_pdf,
-    marchenko_pastur_support,
     mp_log_moment,
     wishart_bartlett,
     wishart_direct,
@@ -108,7 +108,7 @@ class TestGauss:
     @pytest.mark.parametrize("beta", BETAS)
     def test_component_moments(self, beta):
         # each real component is N(0, 1), so E|entry|^2 = beta
-        m = gauss_matrix(beta, 200, 200, RngState(beta))
+        m = _gauss(beta, (200, 200), RngState(beta))
         if beta == 1:
             comps = m.ravel()
         elif beta == 2:
@@ -121,13 +121,9 @@ class TestGauss:
 
     def test_shapes(self):
         r = RngState(0)
-        assert gauss_matrix(1, 3, 5, r).shape == (3, 5)
-        assert gauss_matrix(2, 3, 5, r).dtype == complex
-        assert gauss_matrix(4, 3, 5, r).shape == (3, 5, 4)
-
-    def test_bad_beta(self):
-        with pytest.raises(ValidationError):
-            gauss_matrix(3, 2, 2, RngState(0))
+        assert _gauss(1, (3, 5), r).shape == (3, 5)
+        assert _gauss(2, (3, 5), r).dtype == complex
+        assert _gauss(4, (3, 5), r).shape == (3, 5, 4)
 
 
 class TestWishartRoutes:
@@ -509,8 +505,7 @@ class TestMarchenkoPastur:
     def test_log_moment_diverges_past_square(self):
         assert mp_log_moment(1.5) == -np.inf
 
-    @pytest.mark.parametrize("fn", [marchenko_pastur_support, marchenko_pastur_atom,
-                                    mp_log_moment, lambda g: marchenko_pastur_pdf(g, 1.0)])
+    @pytest.mark.parametrize("fn", [mp_log_moment])
     @pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf, True, "0.5", None])
     def test_gamma_must_be_a_positive_number(self, fn, gamma):
         with pytest.raises(ValidationError, match="gamma must be"):

@@ -11,6 +11,8 @@ from scipy import stats as sp_stats
 from helpers import (
     component,
     exact_conjugation_variance,
+    fd_gradient,
+    fd_hessian,
     ks_2samp_critical,
     qdagger,
     qmatmul,
@@ -20,8 +22,6 @@ from wishartscape import (
     UnsupportedConfigurationError,
     ValidationError,
     build_ansatz,
-    fd_gradient,
-    fd_hessian,
     grad_eval,
     hessian_eval,
     loss_eval,
@@ -34,8 +34,6 @@ from wishartscape import simulator
 from wishartscape.randmat import haar_columns, haar_group
 from wishartscape.simulator import (
     BATCH_BYTES,
-    GRAD_FD_STEP,
-    HESS_FD_STEP,
     AnsatzInstance,
     _auto_batch,
     _exp_unit,
@@ -230,7 +228,7 @@ class TestDerivatives:
         for seed in range(3):
             inst = build_ansatz(comp, rng(100 + seed))
             np.testing.assert_allclose(
-                grad_eval(inst), fd_gradient(inst, GRAD_FD_STEP), atol=1e-8
+                grad_eval(inst), fd_gradient(inst), atol=1e-8
             )
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -239,7 +237,7 @@ class TestDerivatives:
         for seed in range(3):
             inst = build_ansatz(comp, rng(200 + seed))
             np.testing.assert_allclose(
-                hessian_eval(inst), fd_hessian(inst, HESS_FD_STEP), atol=1e-5
+                hessian_eval(inst), fd_hessian(inst), atol=1e-5
             )
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -250,18 +248,11 @@ class TestDerivatives:
         for seed in range(3):
             inst = _conjugated_unit_instance(beta, comp, 300 + seed)
             np.testing.assert_allclose(
-                grad_eval(inst), fd_gradient(inst, GRAD_FD_STEP), atol=1e-8
+                grad_eval(inst), fd_gradient(inst), atol=1e-8
             )
             np.testing.assert_allclose(
-                hessian_eval(inst), fd_hessian(inst, HESS_FD_STEP), atol=1e-5
+                hessian_eval(inst), fd_hessian(inst), atol=1e-5
             )
-
-    @pytest.mark.parametrize("fd", [fd_gradient, fd_hessian])
-    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, True, "0.1"])
-    def test_step_must_be_positive_and_finite(self, fd, step):
-        inst = build_ansatz(component(beta=2, dim=4, params=2), rng(0))
-        with pytest.raises(ValidationError, match="step"):
-            fd(inst, step)
 
     def test_hessian_symmetric(self):
         inst = build_ansatz(component(beta=2, dim=6, params=4), rng(31))

@@ -5,7 +5,15 @@ import pytest
 from scipy import stats as sp_stats
 from scipy.integrate import quad
 
-from helpers import component, ks_2samp_critical, ks_critical, rng, single_model
+from helpers import (
+    component,
+    ks_2samp_critical,
+    ks_critical,
+    marchenko_pastur_pdf,
+    marchenko_pastur_support,
+    rng,
+    single_model,
+)
 from wishartscape import (
     UnsupportedConfigurationError,
     ValidationError,
@@ -18,7 +26,7 @@ from wishartscape import (
     sample_loss_batch,
     spectral_stats,
 )
-from wishartscape.randmat import marchenko_pastur_pdf, marchenko_pastur_support, wishart_direct
+from wishartscape.randmat import wishart_direct
 
 
 def generic_model(beta=2, dim=16, index=1.0, params=6):
